@@ -18,10 +18,10 @@ import math
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .drift import CubicDrift
 from .errors import BlowUpError, ConfigError, StudyError
@@ -192,6 +192,74 @@ class SampleOutcome:
     max_bound_expr: float = 0.0
 
 
+def _stream(cfg: StudyConfig, path: int, modes: int) -> NoiseStream:
+    spec = NoiseSpec(cfg.noise_kind, modes, cfg.noise_scale, cfg.regularity)
+    return NoiseStream(spec, cfg.seed, path)
+
+
+def _run_path(
+    cfg: StudyConfig, scheme: Scheme, stream: NoiseStream, modes: int, **kw
+):
+    """One path from the config's initial state: its result, or its blow-up time."""
+    try:
+        return integrate(
+            scheme,
+            initial_state(cfg.initial, modes),
+            cfg.horizon,
+            stream,
+            cfg.drift,
+            step_ceiling=cfg.step_ceiling,
+            projected_drift_norm=cfg.projected_drift_norm,
+            **kw,
+        )
+    except BlowUpError as exc:
+        return exc.time
+
+
+def _outcome(coarse, reference) -> SampleOutcome:
+    """Error of a coarse `_run_path` result against the reference coefficients.
+
+    Either may be a blow-up time instead; a coarse blow-up is reported
+    first.  A coarse state with fewer modes is zero-padded.
+    """
+    for run in (coarse, reference):
+        if isinstance(run, float):
+            return SampleOutcome(
+                error=math.nan, steps=0, diverged=True, blow_time=run
+            )
+    x = coarse.final.coeffs
+    if x.size != reference.size:
+        padded = np.zeros(reference.size)
+        padded[: x.size] = x
+        x = padded
+    s = coarse.summary
+    return SampleOutcome(
+        error=float(np.linalg.norm(reference - x)),
+        steps=s.steps,
+        nonclamp_steps=s.steps - s.clamp_steps,
+        min_step=s.min_step,
+        max_l2=s.max_l2,
+        max_sup=s.max_sup,
+        max_bound_expr=s.max_bound_expr,
+    )
+
+
+def _spatial_reference(
+    cfg: StudyConfig, scheme: Scheme, stream: NoiseStream, n_ref: int
+):
+    """Final coefficients of the n_ref-mode reference path, or its blow-up time."""
+    ref = _run_path(cfg, scheme, stream, n_ref, exact_convolution=True)
+    return ref if isinstance(ref, float) else ref.final.coeffs
+
+
+def _spatial_sample(
+    cfg: StudyConfig, scheme: Scheme, stream: NoiseStream, n: int, reference
+) -> SampleOutcome:
+    """The n-mode path on the reference's partition and increments, compared with it."""
+    coarse = _run_path(cfg, scheme, stream, n, exact_convolution=True)
+    return _outcome(coarse, reference)
+
+
 def coupled_error_sample(
     cfg: StudyConfig,
     scheme_kind: str,
@@ -206,84 +274,38 @@ def coupled_error_sample(
     """Strong error of one coarse/reference pair on one sample path.
 
     Under a temporal config the reference is the coarse trajectory's r-fold
-    refinement.  Under a spatial config it is the same te scheme at
-    `reference_modes` on the same uniform partition: both resolutions take
-    the exact-convolution noise form and the same per-mode increments, one
-    per step, so the error is the spatial truncation alone and `refinement`
-    is not used.
+    refinement at the same mode count.  Under a spatial config it is the
+    same te scheme at `reference_modes` on the same uniform partition: both
+    resolutions take the exact-convolution noise form and the same per-mode
+    increments, one per step, so the error is the spatial truncation alone
+    and `refinement` is not used.  `spatial_study` makes the same two calls,
+    with the reference shared by every swept mode count.
 
     Divergent paths are reported, not raised; they carry the blow-up time
     and count as excluded in the cell aggregation.
     """
-    spatial = cfg.kind == "spatial"
-    if spatial:
+    n = n_modes if n_modes is not None else cfg.n_modes
+    scheme = make_scheme(cfg, scheme_kind, law_token, delta, te_h)
+    if cfg.kind == "spatial":
         if scheme_kind != "te":
             raise ValueError("a spatial sample needs the uniform te partition")
-    elif cfg.refinement < 2:
+        n_ref = reference_modes if reference_modes is not None else n
+        stream = _stream(cfg, path, max(n, n_ref))
+        reference = _spatial_reference(cfg, scheme, stream, n_ref)
+        return _spatial_sample(cfg, scheme, stream, n, reference)
+    if reference_modes is not None:
+        raise ValueError("reference_modes applies to spatial samples only")
+    if cfg.refinement < 2:
         raise ValueError("error samples need refinement >= 2 for a reference")
-    n = n_modes if n_modes is not None else cfg.n_modes
-    n_ref = reference_modes if reference_modes is not None else n
-    spec = NoiseSpec(cfg.noise_kind, max(n, n_ref), cfg.noise_scale, cfg.regularity)
-    stream = NoiseStream(spec, cfg.seed, path)
-    scheme = make_scheme(cfg, scheme_kind, law_token, delta, te_h)
-
-    def run(modes: int, **kw):
-        return integrate(
-            scheme,
-            initial_state(cfg.initial, modes),
-            cfg.horizon,
-            stream,
-            cfg.drift,
-            step_ceiling=cfg.step_ceiling,
-            projected_drift_norm=cfg.projected_drift_norm,
-            **kw,
-        )
-
-    try:
-        if spatial:
-            res = run(n, exact_convolution=True)
-            ref = run(n_ref, exact_convolution=True).final.coeffs
-        else:
-            res = run(
-                n,
-                refinement=cfg.refinement,
-                reference_modes=n_ref if n_ref != n else None,
-            )
-            ref = res.reference_final.coeffs
-    except BlowUpError as exc:
-        return SampleOutcome(
-            error=math.nan, steps=0, diverged=True, blow_time=exc.time
-        )
-    coarse = res.final.coeffs
-    if n_ref != n:
-        padded = np.zeros(n_ref)
-        padded[:n] = coarse
-        coarse = padded
-    err = float(np.linalg.norm(ref - coarse))
-    s = res.summary
-    return SampleOutcome(
-        error=err,
-        steps=s.steps,
-        nonclamp_steps=s.steps - s.clamp_steps,
-        min_step=s.min_step,
-        max_l2=s.max_l2,
-        max_sup=s.max_sup,
-        max_bound_expr=s.max_bound_expr,
+    res = _run_path(
+        cfg, scheme, _stream(cfg, path, n), n, refinement=cfg.refinement
     )
+    ref = res if isinstance(res, float) else res.reference_final.coeffs
+    return _outcome(res, ref)
 
 
-def _sample_task(args) -> SampleOutcome:
-    cfg, scheme_kind, law_token, delta, path, te_h, n, n_ref = args
-    return coupled_error_sample(
-        cfg,
-        scheme_kind,
-        law_token,
-        delta,
-        path,
-        te_h=te_h,
-        n_modes=n,
-        reference_modes=n_ref,
-    )
+def _temporal_sample(cfg, scheme_kind, law_token, delta, path, te_h) -> SampleOutcome:
+    return coupled_error_sample(cfg, scheme_kind, law_token, delta, path, te_h=te_h)
 
 
 def rms_error(errors) -> float:
@@ -393,35 +415,39 @@ def _path_index(cfg: StudyConfig, delta_index: int, sample: int) -> int:
     return delta_index * cfg.samples + sample
 
 
+@contextmanager
+def _pool(cfg: StudyConfig):
+    """A process pool of cfg.threads workers, or None to run in this process."""
+    if cfg.threads <= 1:
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=cfg.threads)
+    try:
+        yield pool
+    finally:
+        pool.shutdown()
+
+
+def _map(pool: ProcessPoolExecutor | None, task, args) -> list:
+    """task(*a) for every tuple a in args, in order; on the pool if there is one."""
+    if pool is None:
+        return [task(*a) for a in args]
+    return list(pool.map(task, *zip(*args), chunksize=4))
+
+
 def _run_cell(
-    cfg: StudyConfig,
     scheme_kind: str,
     law_token: str,
     delta: float,
-    delta_index: int,
     te_h: float | None,
+    n_modes: int,
     pool: ProcessPoolExecutor | None,
-    n_modes: int | None = None,
-    reference_modes: int | None = None,
+    task,
+    args,
 ) -> CellResult:
+    """Map `task` over the cell's per-sample `args` and aggregate the outcomes."""
     start = time.perf_counter()
-    tasks = [
-        (
-            cfg,
-            scheme_kind,
-            law_token,
-            delta,
-            _path_index(cfg, delta_index, s),
-            te_h,
-            n_modes,
-            reference_modes,
-        )
-        for s in range(cfg.samples)
-    ]
-    if pool is None:
-        outcomes = [_sample_task(t) for t in tasks]
-    else:
-        outcomes = list(pool.map(_sample_task, tasks, chunksize=4))
+    outcomes = _map(pool, task, args)
     cpu = time.perf_counter() - start
 
     errors = [o.error for o in outcomes if not o.diverged]
@@ -445,8 +471,27 @@ def _run_cell(
         divergent=divergent,
         te_h=te_h,
         outcomes=tuple(outcomes),
-        n_modes=n_modes if n_modes is not None else cfg.n_modes,
+        n_modes=n_modes,
     )
+
+
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of x, ties sharing the mean of the ranks they span."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="mergesort")
+    first = np.r_[True, x[order][1:] != x[order][:-1]]
+    group = np.empty(x.size, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    bounds = np.r_[np.flatnonzero(first), x.size]
+    return 0.5 * (bounds[group] + bounds[group + 1] + 1)
+
+
+def spearman_rho(x, y) -> float:
+    """Spearman rank correlation of two series; NaN if either is constant."""
+    rx, ry = _average_ranks(x), _average_ranks(y)
+    if rx.min() == rx.max() or ry.min() == ry.max():
+        return math.nan
+    return float(np.corrcoef(rx, ry)[1, 0])
 
 
 def convergence_study(cfg: StudyConfig) -> StudyResult:
@@ -457,18 +502,24 @@ def convergence_study(cfg: StudyConfig) -> StudyResult:
     """
     if cfg.refinement < 2:
         raise ConfigError("error studies need refinement >= 2")
-    pool = (
-        ProcessPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    )
     adaptive = [s for s in cfg.schemes if s != "te"]
     results: dict[tuple[str, str, float], CellResult] = {}
-    try:
+
+    def run_cell(scheme_kind, law_token, delta, i, te_h, pool):
+        args = [
+            (cfg, scheme_kind, law_token, delta, _path_index(cfg, i, s), te_h)
+            for s in range(cfg.samples)
+        ]
+        results[(scheme_kind, law_token, delta)] = _run_cell(
+            scheme_kind, law_token, delta, te_h, cfg.n_modes, pool,
+            _temporal_sample, args,
+        )
+
+    with _pool(cfg) as pool:
         for law_token in cfg.laws:
             for i, delta in enumerate(cfg.deltas):
                 for scheme_kind in adaptive:
-                    results[(scheme_kind, law_token, delta)] = _run_cell(
-                        cfg, scheme_kind, law_token, delta, i, None, pool
-                    )
+                    run_cell(scheme_kind, law_token, delta, i, None, pool)
                 if "te" in cfg.schemes:
                     te_h = None
                     for preferred in ("ateu", "atea", "ae"):
@@ -478,12 +529,7 @@ def convergence_study(cfg: StudyConfig) -> StudyResult:
                             break
                     if te_h is None:
                         te_h = delta * cfg.horizon
-                    results[("te", law_token, delta)] = _run_cell(
-                        cfg, "te", law_token, delta, i, te_h, pool
-                    )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    run_cell("te", law_token, delta, i, te_h, pool)
 
     cells = [
         results[(s, l, d)]
@@ -501,10 +547,9 @@ def convergence_study(cfg: StudyConfig) -> StudyResult:
                     (s, l, fit_order([(c.mean_steps, c.rms) for c in series]))
                 )
             if len(series) >= 2:
-                rho = spearmanr(
+                spearman[(s, l)] = spearman_rho(
                     [c.delta for c in series], [c.rms for c in series]
-                ).statistic
-                spearman[(s, l)] = float(rho)
+                )
     stability = stability_monitor(cells, cfg.stability_ceiling)
     return StudyResult(cfg, cells, slopes, spearman, stability)
 
@@ -531,6 +576,10 @@ def spatial_study(cfg: StudyConfig) -> SpatialResult:
     `integrate`): under the paper's form a mode with lambda_i tau >> 1
     receives almost no noise, and the error would collapse instead of
     showing the truncated noise tail.  `refinement` is not used.
+
+    Each sample's reference is integrated once, before the sweep, and
+    compared with every swept mode count; a cell's cpu_seconds covers its
+    own mode count's runs only.
     """
     if cfg.kind != "spatial":
         raise ConfigError("config is not a spatial study")
@@ -540,33 +589,28 @@ def spatial_study(cfg: StudyConfig) -> SpatialResult:
     delta = cfg.deltas[0]
     law_token = cfg.laws[0]
     te_h = delta * cfg.horizon
-    pool = (
-        ProcessPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    )
-    cells = []
-    try:
-        for n in cfg.spatial_modes:
-            cells.append(
-                _run_cell(
-                    cfg,
-                    scheme_kind,
-                    law_token,
-                    delta,
-                    0,
-                    te_h,
-                    pool,
-                    n_modes=n,
-                    reference_modes=cfg.spatial_reference,
-                )
+    scheme = make_scheme(cfg, scheme_kind, law_token, delta, te_h)
+    n_ref = cfg.spatial_reference
+    # n_ref exceeds every swept count, so one n_ref-mode stream serves all.
+    streams = [
+        _stream(cfg, _path_index(cfg, 0, s), n_ref) for s in range(cfg.samples)
+    ]
+    with _pool(cfg) as pool:
+        references = _map(
+            pool, _spatial_reference, [(cfg, scheme, st, n_ref) for st in streams]
+        )
+        cells = [
+            _run_cell(
+                scheme_kind, law_token, delta, te_h, n, pool, _spatial_sample,
+                [(cfg, scheme, st, n, ref) for st, ref in zip(streams, references)],
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            for n in cfg.spatial_modes
+        ]
     fit = None
     if len(cells) >= 3:
         # cost = mode count, so the fitted slope is the spatial order.
         fit = fit_order([(c.n_modes, c.rms) for c in cells])
-    return SpatialResult(cfg, cells, fit, cfg.spatial_reference)
+    return SpatialResult(cfg, cells, fit, n_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fftpack import dst  # pocketfft without scipy.fft's backend dispatch
 
 _SQRT2 = np.sqrt(2.0)
 

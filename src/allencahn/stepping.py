@@ -332,7 +332,6 @@ def integrate(
     drift: CubicDrift,
     *,
     refinement: int = 1,
-    reference_modes: int | None = None,
     step_ceiling: int = 10_000_000,
     collect_records: bool = False,
     projected_drift_norm: bool = False,
@@ -340,11 +339,11 @@ def integrate(
 ) -> IntegrationResult:
     """Advance the scheme from t=0 to t=horizon on one sample path.
 
-    With refinement r > 1 a coupled reference trajectory (the same scheme,
-    each step split into r equal substeps, optionally at a higher mode count
-    `reference_modes`) is advanced through the fine increments whose exact
-    sum drives the coarse trajectory.  The substeps reuse the branch decided
-    for the coarse step they refine.
+    With refinement r > 1 a coupled reference trajectory (the same scheme at
+    the same mode count, each step split into r equal substeps) is advanced
+    through the fine increments whose exact sum drives the coarse
+    trajectory.  The substeps reuse the branch decided for the coarse step
+    they refine.
 
     By default the noise enters as in the paper, S(tau)(X + tau F + dW), so
     the increment of mode i is damped by exp(-lambda_i tau).  With
@@ -370,26 +369,11 @@ def integrate(
     if stream.spec.n_modes < n:
         raise ValueError("noise stream carries fewer modes than the state")
     law = scheme.law
-
     track_reference = refinement > 1
-    n_ref = n
-    if reference_modes is not None:
-        if not track_reference:
-            raise ValueError("reference_modes only makes sense with refinement > 1")
-        n_ref = reference_modes
-    if track_reference and stream.spec.n_modes < n_ref:
-        raise ValueError("noise stream carries fewer modes than the reference")
 
     lam = eigenvalues(n)
     m_grid = fast_dealias_size(n)
-    x = initial.coeffs
-
-    if track_reference:
-        lam_ref = eigenvalues(n_ref)
-        m_ref = fast_dealias_size(n_ref)
-        xr = np.zeros(n_ref)
-        k = min(n, n_ref)
-        xr[:k] = initial.coeffs[:k]
+    x = xr = initial.coeffs
 
     summary = TrajectorySummary()
     records: list[StepRecord] | None = [] if collect_records else None
@@ -440,14 +424,14 @@ def integrate(
 
         if track_reference:
             sub = tau / refinement
-            decay_ref = np.exp(-sub * lam_ref)
+            decay_ref = np.exp(-sub * lam)
             for j in range(refinement):
-                evr = evaluate_drift(drift, xr, m_ref)
+                evr = evaluate_drift(drift, xr, m_grid)
                 if use_tamed:
                     term = (sub / (1.0 + evr.projected_norm * sub)) * evr.coeffs
                 else:
                     term = sub * evr.coeffs
-                xr = decay_ref * (xr + term + fine[j, :n_ref])
+                xr = decay_ref * (xr + term + fine[j, :n])
                 _finite_or_blowup(xr, t + j * sub, evr.state_sup)
 
         if records is not None:

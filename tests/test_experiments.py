@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from allencahn import experiments
 from allencahn.drift import fast_dealias_size
 from allencahn.errors import ConfigError, StudyError
 from allencahn.experiments import (
@@ -18,6 +20,7 @@ from allencahn.experiments import (
     resolve_family,
     rms_error,
     spatial_study,
+    spearman_rho,
     stability_monitor,
     write_errors_csv,
     write_slopes_csv,
@@ -370,6 +373,105 @@ def test_spatial_study_needs_uniform_partition():
 def test_spatial_study_rejects_temporal_config():
     with pytest.raises(ConfigError):
         spatial_study(small_config())
+
+
+def test_spatial_reference_is_integrated_once_per_sample(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].n_modes)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", counting)
+    cfg = spatial_config()
+    spatial_study(cfg)
+    # S references, then S paths for each of the K swept mode counts
+    assert sorted(calls) == sorted(
+        [cfg.spatial_reference] * cfg.samples
+        + [n for n in cfg.spatial_modes for _ in range(cfg.samples)]
+    )
+
+
+def _spatial_rows(tmp_path, result):
+    out = tmp_path / "spatial.csv"
+    write_spatial_csv(out, result)
+    rows = [line.split(",") for line in _read(out)]
+    drop = rows[0].index("cpu_seconds")
+    return [row[:drop] + row[drop + 1:] for row in rows]
+
+
+def test_spatial_study_same_at_every_worker_count(tmp_path):
+    serial = spatial_study(spatial_config())
+    pooled = spatial_study(spatial_config(threads=2))
+    assert _spatial_rows(tmp_path, pooled) == _spatial_rows(tmp_path, serial)
+    for a, b in zip(serial.cells, pooled.cells):
+        assert repr(a.outcomes) == repr(b.outcomes)
+
+
+def test_spatial_outcomes_equal_single_path_samples():
+    cfg = spatial_config()
+    res = spatial_study(cfg)
+    for cell in res.cells:
+        for s, stored in enumerate(cell.outcomes):
+            alone = coupled_error_sample(
+                cfg, "te", "type1", cell.delta, s, te_h=cell.delta * cfg.horizon,
+                n_modes=cell.n_modes, reference_modes=cfg.spatial_reference,
+            )
+            assert repr(alone) == repr(stored)
+
+
+def test_coarse_blow_up_is_reported_before_the_reference():
+    first = experiments._outcome(0.25, 0.5)
+    assert first.diverged and first.blow_time == 0.25
+    cfg = spatial_config()
+    stream = NoiseStream(NoiseSpec(cfg.noise_kind, 32), cfg.seed, 0)
+    coarse = experiments._run_path(
+        cfg, make_scheme(cfg, "te", "type1", 2.0**-3), stream, 8,
+        exact_convolution=True,
+    )
+    second = experiments._outcome(coarse, 0.5)
+    assert second.diverged and second.blow_time == 0.5
+
+
+def test_temporal_sample_rejects_reference_modes():
+    with pytest.raises(ValueError):
+        coupled_error_sample(
+            small_config(), "te", "type1", 2.0**-2, 0, n_modes=16, reference_modes=32
+        )
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([0.5, 0.25, 0.125, 0.0625], [3.0, 1.0, 2.0, 0.5]),  # untied
+        ([4.0, 3.0, 2.0, 1.0, 0.5], [1.0, 2.0, 2.0, 5.0, 1.0]),  # ties in y
+        ([1.0, 1.0, 2.0, 2.0, 3.0, 7.0], [0.2, 0.1, 0.1, 0.4, 0.4, 0.4]),  # both
+        (list(np.random.default_rng(3).standard_normal(40)),
+         list(np.random.default_rng(4).integers(0, 5, 40).astype(float))),
+    ],
+)
+def test_spearman_rho_matches_scipy(x, y):
+    from scipy.stats import spearmanr
+
+    want = spearmanr(x, y).statistic
+    assert spearman_rho(x, y) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def test_spearman_rho_of_constant_series_is_nan():
+    assert math.isnan(spearman_rho([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
+    assert math.isnan(spearman_rho([2.0, 2.0], [0.1, 0.3]))
+
+
+def test_import_leaves_scipy_stats_out():
+    import subprocess
+    import sys
+
+    code = "import sys, allencahn; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,21 @@ def test_inverse_of_forward_on_bandlimited_grid(rng):
     assert np.allclose(again.values, grid.values, atol=1e-12)
 
 
+def test_dst_bitwise_equal_to_scipy_fft():
+    # the package takes its DST from scipy.fftpack; it must give exactly what
+    # scipy.fft.dst gives on every grid the package transforms: 2N (Lp
+    # norms), 4N - 1 (integrator drift) and 4N (default drift and sup norm)
+    from scipy.fft import dst as fft_dst
+
+    from allencahn import spectral
+
+    rng = np.random.default_rng(8)
+    for n in range(16, 1025):
+        for m in (2 * n, 4 * n - 1, 4 * n):
+            x = rng.standard_normal(m)
+            assert np.array_equal(spectral.dst(x, type=1), fft_dst(x, type=1)), m
+
+
 def test_transform_dimension_errors():
     field = SpectralField(np.ones(5))
     with pytest.raises(ValueError):

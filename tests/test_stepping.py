@@ -286,21 +286,7 @@ def test_integrate_validation():
     with pytest.raises(ValueError):
         integrate(Scheme("ae", law=law), e1(), 1.0, stream(), CUBIC, refinement=0)
     with pytest.raises(ValueError):
-        integrate(
-            Scheme("ae", law=law), e1(), 1.0, stream(), CUBIC, reference_modes=16
-        )  # reference needs refinement > 1
-    with pytest.raises(ValueError):
         integrate(Scheme("ae", law=law), e1(16), 1.0, stream(8), CUBIC)
-    with pytest.raises(ValueError):
-        integrate(
-            Scheme("ae", law=law),
-            e1(),
-            1.0,
-            stream(8),
-            CUBIC,
-            refinement=2,
-            reference_modes=16,
-        )
 
 
 def test_ateu_reduces_to_ae_when_fallback_never_fires():
@@ -406,20 +392,6 @@ def test_reference_tracks_coarse_in_smooth_limit():
     assert res.reference_final is not None
     gap = np.linalg.norm(res.reference_final.coeffs - res.final.coeffs)
     assert 0.0 < gap < 0.05
-
-
-def test_reference_at_higher_resolution_embeds_initial_state():
-    res = integrate(
-        Scheme("te", h=0.25),
-        e1(4),
-        1.0,
-        stream(16, seed=3),
-        CUBIC,
-        refinement=2,
-        reference_modes=16,
-    )
-    assert res.reference_final.n_modes == 16
-    assert res.final.n_modes == 4
 
 
 def test_exact_convolution_noise_form():

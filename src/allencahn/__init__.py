@@ -29,14 +29,11 @@ from .experiments import (
 from .config import load_config, load_preset, parse_config, render_config
 from .noise import NoiseSpec, NoiseStream, increment_stddev
 from .spectral import (
-    GridField,
     SpectralField,
     apply_fractional_power,
     apply_semigroup,
     eigenvalues,
-    forward_transform,
     grid_points,
-    inverse_transform,
     l2_norm,
     lp_norm,
     sobolev_norm,
@@ -46,11 +43,8 @@ from .stepping import (
     Scheme,
     StepRecord,
     TimestepLaw,
-    ae_step,
     compute_timestep,
-    hybrid_step,
     integrate,
-    tamed_step,
 )
 from .validation import run_validation
 
@@ -61,7 +55,6 @@ __all__ = [
     "ConfigError",
     "CubicDrift",
     "FitResult",
-    "GridField",
     "NoiseSpec",
     "NoiseStream",
     "RunawayPartitionError",
@@ -74,7 +67,6 @@ __all__ = [
     "StudyError",
     "StudyResult",
     "TimestepLaw",
-    "ae_step",
     "apply_drift",
     "apply_fractional_power",
     "apply_semigroup",
@@ -85,14 +77,11 @@ __all__ = [
     "eigenvalues",
     "evaluate_drift",
     "fit_order",
-    "forward_transform",
     "grid_points",
-    "hybrid_step",
     "increment_stddev",
     "initial_state",
     "inner_product_x_f",
     "integrate",
-    "inverse_transform",
     "l2_norm",
     "load_config",
     "load_preset",
@@ -105,6 +94,5 @@ __all__ = [
     "spatial_study",
     "stability_monitor",
     "sup_norm",
-    "tamed_step",
     "__version__",
 ]

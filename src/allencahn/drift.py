@@ -43,13 +43,9 @@ class CubicDrift:
         return abs(self.a1) + abs(self.a2) + 3.0 * abs(self.a3)
 
 
-def default_dealias_size(n_modes: int) -> int:
-    return 4 * n_modes
-
-
 def fast_dealias_size(n_modes: int) -> int:
-    # Same exactness guarantee as 4N (anything >= 3N+1 works); M+1 a power of
-    # two keeps the DST on its fast path.
+    # The one dealiasing grid: anything >= 3N+1 is exact, and M+1 = 4N a
+    # power of two keeps the DST on its fast path.
     m = 4 * n_modes - 1
     return m if m >= 3 * n_modes + 1 else 3 * n_modes + 1
 
@@ -98,7 +94,7 @@ def evaluate_drift(
     drift: CubicDrift, state_coeffs: np.ndarray, m: int | None = None
 ) -> DriftEvaluation:
     if m is None:
-        m = default_dealias_size(state_coeffs.size)
+        m = fast_dealias_size(state_coeffs.size)
     _check_dealias(state_coeffs.size, m)
     return DriftEvaluation(drift, state_coeffs, m)
 

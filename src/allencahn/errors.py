@@ -17,6 +17,9 @@ class BlowUpError(RuntimeError):
             f"trajectory blew up at t={time:.6g} (last finite sup norm {sup_norm:.6g})"
         )
 
+    def __reduce__(self):
+        return type(self), (self.time, self.sup_norm)
+
 
 class RunawayPartitionError(RuntimeError):
     """The integrator exceeded its step ceiling before reaching the horizon."""
@@ -28,6 +31,9 @@ class RunawayPartitionError(RuntimeError):
             f"step ceiling reached after {steps} steps at t={time:.6g}; "
             "the adaptive partition is not making progress"
         )
+
+    def __reduce__(self):
+        return type(self), (self.steps, self.time)
 
 
 class ConfigError(ValueError):

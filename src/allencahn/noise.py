@@ -101,9 +101,3 @@ class NoiseStream:
         coarse = fine.sum(axis=0)
         return fine, coarse
 
-
-def sample_refined_increment(
-    stream: NoiseStream, step: int, dt: float, r: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Functional alias for NoiseStream.increments."""
-    return stream.increments(step, dt, r)

@@ -55,30 +55,16 @@ class SpectralField:
         return self.coeffs.size
 
 
-@dataclass(frozen=True, eq=False)
-class GridField:
-    """Immutable values at the M interior grid points; boundary values are zero."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("values must form a non-empty 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite value in grid field")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-
-# Raw-array kernels used by the integrator hot loop; the public wrappers below
-# add the dataclass types and precondition checks.
-
 def coeffs_to_values(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Values of the coefficient vector at the M interior grid points.
+
+    M >= N is required so every mode is representable on the grid; the
+    round trip values_to_coeffs(coeffs_to_values(a, M), N) is then exact.
+    """
+    if m < coeffs.size:
+        raise ValueError(
+            f"grid with {m} interior points cannot represent {coeffs.size} modes"
+        )
     # DST-I of the zero-padded coefficients gives 2 * sum a_i sin(i pi x_k);
     # the basis carries an extra sqrt(2).
     buf = np.zeros(m)
@@ -87,38 +73,18 @@ def coeffs_to_values(coeffs: np.ndarray, m: int) -> np.ndarray:
 
 
 def values_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
-    m = values.size
-    return dst(values, type=1)[:n_modes] * (_SQRT2 / (2.0 * (m + 1)))
-
-
-def inverse_transform(field: SpectralField, m: int) -> GridField:
-    """Evaluate the field at the M interior grid points.
-
-    M >= N is required so every mode is representable on the grid; the
-    round trip forward_transform(inverse_transform(X)) is then exact.
-    """
-    if m < field.n_modes:
-        raise ValueError(
-            f"grid with {m} interior points cannot represent {field.n_modes} modes"
-        )
-    return GridField(coeffs_to_values(field.coeffs, m))
-
-
-def forward_transform(grid: GridField, n_modes: int) -> SpectralField:
-    """Project grid values onto the first n_modes sine coefficients.
+    """The first n_modes sine coefficients of values on the M interior points.
 
     Uses the discrete orthogonality of sin(i pi x_k) on the uniform grid:
-    a_i = sqrt(2)/(M+1) * sum_k values_k sin(i pi x_k).  Exact (not just
-    approximate) whenever the underlying function is band-limited to at
-    most M modes.
+    a_i = sqrt(2)/(M+1) * sum_k values_k sin(i pi x_k), exact whenever the
+    underlying function is band-limited to at most M modes.
     """
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
-    if grid.m < n_modes:
+    m = values.size
+    if not 1 <= n_modes <= m:
         raise ValueError(
-            f"grid with {grid.m} interior points cannot resolve {n_modes} modes"
+            f"grid with {m} interior points cannot resolve {n_modes} modes"
         )
-    return SpectralField(values_to_coeffs(grid.values, n_modes))
+    return dst(values, type=1)[:n_modes] * (_SQRT2 / (2.0 * (m + 1)))
 
 
 def apply_semigroup(field: SpectralField, t: float) -> SpectralField:

@@ -1,4 +1,4 @@
-"""Timestep laws, exponential/tamed step updates, and the coupled integrator.
+"""Timestep laws and the coupled integrator with its one step update.
 
 Schemes
 -------
@@ -57,6 +57,10 @@ class TimestepLaw:
     bound, tau_min the uniform one.  The `uniform` family returns
     `fixed_step` regardless of the state (useful for traces and branch
     tests).
+
+    au3, au4 and au5 share one base ratio; au4 caps it at delta * horizon
+    where au3 scales it by delta.  au5 is an alias of au3: the law token
+    `type5` runs the au3 trajectory.
     """
 
     family: str
@@ -100,9 +104,7 @@ class TimestepLaw:
         fam = self.family
         if fam in ("au1", "au2"):
             return (l2 / (drift_norm + phi)) ** _FOUR_THIRDS
-        if fam in ("au3", "au5"):
-            return (1.0 / (drift_norm + phi)) ** _FOUR_THIRDS
-        if fam == "au4":
+        if fam in ("au3", "au4", "au5"):
             return (1.0 / (drift_norm + phi)) ** _FOUR_THIRDS
         if fam == "au6":
             # The +3 regularisation is part of this law's definition.
@@ -204,75 +206,21 @@ def _lp_from_values(values: np.ndarray, m: int, p: int) -> float:
     return float(((values**p).sum() / (m + 1)) ** (1.0 / p))
 
 
-def _law_norms(
-    law: TimestepLaw,
-    coeffs: np.ndarray,
-    l2: float,
-    drift_norm: float,
-) -> tuple[float, float, float | None, float | None]:
+def compute_timestep(
+    law: TimestepLaw, coeffs: np.ndarray, l2: float, drift_norm: float
+) -> float:
+    """tau^delta at the state `coeffs`, given its L2 norm and drift norm.
+
+    Both norms come from the step's drift evaluation, so the law costs no
+    extra drift call; the aa families add the L4/L6 norms by quadrature on
+    the M = 2N grid, exact for band-limited states.
+    """
     if not law.needs_lp_norms:
-        return l2, drift_norm, None, None
+        return law.value(l2, drift_norm)
     m = 2 * coeffs.size
     vals = coeffs_to_values(coeffs, m)
-    return l2, drift_norm, _lp_from_values(vals, m, 4), _lp_from_values(vals, m, 6)
-
-
-def compute_timestep(
-    law: TimestepLaw,
-    state: SpectralField,
-    drift: CubicDrift,
-    projected_drift_norm: bool = False,
-) -> float:
-    """Evaluate tau^delta at a state, using the published norm conventions."""
-    ev = evaluate_drift(drift, state.coeffs)
-    drift_norm = ev.projected_norm if projected_drift_norm else ev.image_norm
-    l2 = float(np.linalg.norm(state.coeffs))
-    return law.value(*_law_norms(law, state.coeffs, l2, drift_norm))
-
-
-def _finite_or_blowup(
-    coeffs: np.ndarray, t: float, state_sup: float
-) -> np.ndarray:
-    if not np.all(np.isfinite(coeffs)):
-        raise BlowUpError(t, state_sup)
-    return coeffs
-
-
-def ae_step(
-    state: SpectralField,
-    tau: float,
-    dw: np.ndarray,
-    drift: CubicDrift,
-    *,
-    t: float = math.nan,
-    evaluation: DriftEvaluation | None = None,
-) -> SpectralField:
-    """One exponential step S(tau)(X + tau F(X) + dW)."""
-    if tau <= 0:
-        raise ValueError("step length must be positive")
-    ev = evaluation if evaluation is not None else evaluate_drift(drift, state.coeffs)
-    decay = np.exp(-tau * eigenvalues(state.n_modes))
-    out = decay * (state.coeffs + tau * ev.coeffs + dw)
-    return SpectralField(_finite_or_blowup(out, t, ev.state_sup))
-
-
-def tamed_step(
-    state: SpectralField,
-    tau: float,
-    dw: np.ndarray,
-    drift: CubicDrift,
-    *,
-    t: float = math.nan,
-    evaluation: DriftEvaluation | None = None,
-) -> SpectralField:
-    """One tamed exponential step; the drift is damped by 1/(1 + ||F^N(X)|| tau)."""
-    if tau <= 0:
-        raise ValueError("step length must be positive")
-    ev = evaluation if evaluation is not None else evaluate_drift(drift, state.coeffs)
-    decay = np.exp(-tau * eigenvalues(state.n_modes))
-    damped = tau / (1.0 + ev.projected_norm * tau)
-    out = decay * (state.coeffs + damped * ev.coeffs + dw)
-    return SpectralField(_finite_or_blowup(out, t, ev.state_sup))
+    l4, l6 = _lp_from_values(vals, m, 4), _lp_from_values(vals, m, 6)
+    return law.value(l2, drift_norm, l4, l6)
 
 
 def _select_branch(
@@ -291,37 +239,33 @@ def _select_branch(
     return FALLBACK, scheme.fallback_length, True
 
 
-def hybrid_step(
-    kind: str,
-    state: SpectralField,
-    law: TimestepLaw,
-    stream: NoiseStream,
-    drift: CubicDrift,
-    step: int = 0,
-    *,
-    t: float = 0.0,
-    uncapped_fallback: bool = False,
-    projected_drift_norm: bool = False,
-) -> tuple[SpectralField, StepRecord]:
-    """One branch-recorded step of an ateu/atea scheme.
+def _update(
+    x: np.ndarray,
+    ev: DriftEvaluation,
+    tau: float,
+    decay: np.ndarray,
+    dw: np.ndarray,
+    tamed: bool,
+    t: float,
+    noise_weight: np.ndarray | None = None,
+) -> np.ndarray:
+    """One step from x: S(tau)(x + tau F(x) + dW), decay = exp(-tau lambda).
 
-    The increment is drawn over the step actually taken, so a fallback step
-    consumes noise of the fallback length, not of the rejected law value.
+    The tamed update damps the drift term by 1/(1 + ||F^N(x)|| tau).  With
+    a `noise_weight` c the noise enters outside the semigroup as c * dW
+    (the exact-convolution form).
     """
-    if kind not in ("ateu", "atea"):
-        raise ValueError(f"hybrid step expects ateu or atea, got {kind!r}")
-    scheme = Scheme(kind, law=law, uncapped_fallback=uncapped_fallback)
-    ev = evaluate_drift(drift, state.coeffs)
-    drift_norm = ev.projected_norm if projected_drift_norm else ev.image_norm
-    l2 = float(np.linalg.norm(state.coeffs))
-    tau_m = law.value(*_law_norms(law, state.coeffs, l2, drift_norm))
-    branch, tau, use_tamed = _select_branch(scheme, tau_m, l2)
-    _, coarse = stream.increments(step, tau, 1)
-    dw = coarse[: state.n_modes]
-    stepper = tamed_step if use_tamed else ae_step
-    out = stepper(state, tau, dw, drift, t=t, evaluation=ev)
-    record = StepRecord(t, tau, branch, l2, ev.state_sup, drift_norm)
-    return out, record
+    if tamed:
+        drift_term = (tau / (1.0 + ev.projected_norm * tau)) * ev.coeffs
+    else:
+        drift_term = tau * ev.coeffs
+    if noise_weight is None:
+        out = decay * (x + drift_term + dw)
+    else:
+        out = decay * (x + drift_term) + noise_weight * dw
+    if not np.all(np.isfinite(out)):
+        raise BlowUpError(t, ev.state_sup)
+    return out
 
 
 def integrate(
@@ -343,7 +287,9 @@ def integrate(
     the same mode count, each step split into r equal substeps) is advanced
     through the fine increments whose exact sum drives the coarse
     trajectory.  The substeps reuse the branch decided for the coarse step
-    they refine.
+    they refine.  Each step's increment is drawn over the step actually
+    taken, so a fallback step consumes noise of the fallback length, not
+    of the rejected law value.
 
     By default the noise enters as in the paper, S(tau)(X + tau F + dW), so
     the increment of mode i is damped by exp(-lambda_i tau).  With
@@ -391,7 +337,7 @@ def integrate(
         if scheme.kind == "te":
             branch, tau, use_tamed = FALLBACK, scheme.h, True
         else:
-            tau_m = law.value(*_law_norms(law, x, l2, drift_norm))
+            tau_m = compute_timestep(law, x, l2, drift_norm)
             branch, tau, use_tamed = _select_branch(scheme, tau_m, l2)
 
         if tau <= 0 or t + tau == t:
@@ -406,33 +352,21 @@ def integrate(
         # else: interior step, keep the branch's length
 
         fine, coarse = stream.increments(summary.steps, tau, refinement)
-        if not np.array_equal(np.sum(fine, axis=0), coarse):
-            raise RuntimeError("refined increments lost coupling with their sum")
 
-        decay = np.exp(-tau * lam)
-        if use_tamed:
-            drift_term = (tau / (1.0 + ev.projected_norm * tau)) * ev.coeffs
-        else:
-            drift_term = tau * ev.coeffs
+        weight = None
         if exact_convolution:
             two_lam_tau = 2.0 * tau * lam
             weight = np.sqrt(-np.expm1(-two_lam_tau) / two_lam_tau)
-            x = decay * (x + drift_term) + weight * coarse[:n]
-        else:
-            x = decay * (x + drift_term + coarse[:n])
-        _finite_or_blowup(x, t, ev.state_sup)
+        x = _update(x, ev, tau, np.exp(-tau * lam), coarse[:n], use_tamed, t, weight)
 
         if track_reference:
             sub = tau / refinement
             decay_ref = np.exp(-sub * lam)
             for j in range(refinement):
                 evr = evaluate_drift(drift, xr, m_grid)
-                if use_tamed:
-                    term = (sub / (1.0 + evr.projected_norm * sub)) * evr.coeffs
-                else:
-                    term = sub * evr.coeffs
-                xr = decay_ref * (xr + term + fine[j, :n])
-                _finite_or_blowup(xr, t + j * sub, evr.state_sup)
+                xr = _update(
+                    xr, evr, sub, decay_ref, fine[j, :n], use_tamed, t + j * sub
+                )
 
         if records is not None:
             records.append(StepRecord(t, tau, branch, l2, ev.state_sup, drift_norm))

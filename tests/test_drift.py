@@ -4,7 +4,6 @@ import pytest
 from allencahn.drift import (
     CubicDrift,
     apply_drift,
-    default_dealias_size,
     drift_l2_norm,
     evaluate_drift,
     fast_dealias_size,
@@ -38,13 +37,18 @@ def test_pointwise_polynomial():
 
 
 def test_dealias_sizes():
-    assert default_dealias_size(8) == 32
     assert fast_dealias_size(8) == 31
     assert fast_dealias_size(8) >= 3 * 8 + 1
     for n in (1, 2, 3, 5, 256):
         assert fast_dealias_size(n) >= 3 * n + 1
     with pytest.raises(ValueError):
         evaluate_drift(CUBIC, np.ones(8), m=24)  # below 3N+1
+
+
+def test_default_grid_is_the_integrators(rng):
+    for n in (1, 5, 8, 256):
+        x = rng.standard_normal(n)
+        assert evaluate_drift(CUBIC, x).m == fast_dealias_size(x.size)
 
 
 def test_apply_drift_first_mode_trig_identity():
@@ -134,7 +138,7 @@ def test_evaluation_matches_direct_synthesis(rng):
     # one evaluation bundles synthesis, image, projection, norms; cross-check
     # every piece against direct summation on the same grid
     coeffs = rng.standard_normal(5)
-    m = default_dealias_size(5)
+    m = fast_dealias_size(5)
     ev = evaluate_drift(CUBIC, coeffs)
     v = direct_values(coeffs, m)
     w = CUBIC(v)
@@ -186,7 +190,7 @@ def test_polynomial_growth_bound(rng):
     assert L1 == pytest.approx(1.0 + 0.5 + 3.0)
     for _ in range(200):
         x, y = _random_pair(rng)
-        m = default_dealias_size(x.n_modes)
+        m = fast_dealias_size(x.n_modes)
         ex = evaluate_drift(drift, x.coeffs, m)
         ey = evaluate_drift(drift, y.coeffs, m)
         img_diff = np.sqrt(

@@ -6,7 +6,7 @@ import pytest
 
 from allencahn import experiments
 from allencahn.drift import fast_dealias_size
-from allencahn.errors import ConfigError, StudyError
+from allencahn.errors import ConfigError, RunawayPartitionError, StudyError
 from allencahn.experiments import (
     CellResult,
     FitResult,
@@ -292,6 +292,17 @@ def test_study_raises_when_every_sample_diverges():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StudyError):
             convergence_study(cfg)
+
+
+def test_pooled_study_reports_runaway_partition():
+    # te at delta T = 1/4 needs four steps; a ceiling of two runs away in a
+    # pool worker, and the error must come back as itself, not as a broken pool
+    cfg = StudyConfig(
+        deltas=(0.25, 0.125), schemes=("te",), n_modes=8, samples=2,
+        refinement=2, step_ceiling=2, threads=2,
+    )
+    with pytest.raises(RunawayPartitionError):
+        convergence_study(cfg)
 
 
 def test_spatial_study_sweep():

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from allencahn.noise import (
-    NoiseSpec,
-    NoiseStream,
-    increment_stddev,
-    sample_refined_increment,
-)
+from allencahn.noise import NoiseSpec, NoiseStream, increment_stddev
 
 
 def test_spec_validation():
@@ -74,9 +69,6 @@ def test_coupling_exact_sum():
         fine, coarse = stream.increments(0, 0.2, r)
         assert fine.shape == (r, 16)
         assert np.array_equal(fine.sum(axis=0), coarse)
-    alias = sample_refined_increment(stream, 0, 0.2, 3)
-    direct = stream.increments(0, 0.2, 3)
-    assert np.array_equal(alias[0], direct[0])
 
 
 def test_determinism_and_order_independence():

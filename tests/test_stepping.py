@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,11 +14,8 @@ from allencahn.stepping import (
     FALLBACK,
     Scheme,
     TimestepLaw,
-    ae_step,
     compute_timestep,
-    hybrid_step,
     integrate,
-    tamed_step,
 )
 
 CUBIC = CubicDrift(-1.0, 0.0, 1.0)
@@ -37,6 +35,29 @@ def zero(n=8):
 
 def stream(n=8, seed=0, path=0, kind="trace-class", scale=1.0):
     return NoiseStream(NoiseSpec(kind, n, scale), seed, path)
+
+
+def law_at(law, field, drift=CUBIC, projected=False):
+    """tau^delta at a state, from the drift evaluation a step would make."""
+    ev = evaluate_drift(drift, field.coeffs)
+    drift_norm = ev.projected_norm if projected else ev.image_norm
+    return compute_timestep(law, field.coeffs, l2_norm(field), drift_norm)
+
+
+def one_step(scheme, field, tau, noise=None):
+    """A one-step integrate run of length tau; returns (final coeffs, record).
+
+    Without a stream the step runs noise-free.
+    """
+    if noise is None:
+        noise = stream(field.n_modes, scale=0.0)
+    res = integrate(scheme, field, tau, noise, CUBIC, collect_records=True)
+    assert res.summary.steps == 1
+    return res.final.coeffs, res.records[0]
+
+
+def ae(tau):
+    return Scheme("ae", law=TimestepLaw("uniform", 1.0, fixed_step=tau))
 
 
 # ---------------------------------------------------------------------------
@@ -66,28 +87,28 @@ def test_law_needs_lp_norms():
 
 def test_au3_at_zero_state():
     law = TimestepLaw("au3", 2.0**-4)
-    assert compute_timestep(law, zero(), CUBIC) == pytest.approx(0.0625, abs=1e-15)
+    assert law_at(law, zero()) == pytest.approx(0.0625, abs=1e-15)
 
 
 def test_au4_at_zero_state():
     law = TimestepLaw("au4", 2.0**-4, horizon=1.0)
-    assert compute_timestep(law, zero(), CUBIC) == pytest.approx(0.0625, abs=1e-15)
+    assert law_at(law, zero()) == pytest.approx(0.0625, abs=1e-15)
 
 
 def test_au1_on_first_eigenfunction():
     base = (1.0 / (E1_DRIFT_NORM + 1.0)) ** (4.0 / 3.0)  # l2 = 1
     law = TimestepLaw("au1", 0.25)
-    assert compute_timestep(law, e1(), CUBIC) == pytest.approx(
+    assert law_at(law, e1()) == pytest.approx(
         min(0.25, base), abs=1e-14
     )
-    assert compute_timestep(law, e1(), CUBIC) == 0.25  # the cap binds here
+    assert law_at(law, e1()) == 0.25  # the cap binds here
     fine = TimestepLaw("au1", 2.0**-6)
-    assert compute_timestep(fine, e1(), CUBIC) == pytest.approx(2.0**-6, abs=1e-16)
+    assert law_at(fine, e1()) == pytest.approx(2.0**-6, abs=1e-16)
 
 
 def test_au6_has_builtin_regularization():
     law = TimestepLaw("au6", 0.5, phi=123.0)  # phi is ignored by this family
-    got = compute_timestep(law, e1(), CUBIC)
+    got = law_at(law, e1())
     assert got == pytest.approx(0.5 * (1.0 / (E1_DRIFT_NORM + 3.0)) ** (4.0 / 3.0))
 
 
@@ -97,7 +118,7 @@ def test_aa1_uses_l4_l6_norms():
     base = min(
         2.0 * 1.5 / (2.5 + 1.0), (1.0 / (E1_DRIFT_NORM + 1.0)) ** (4.0 / 3.0)
     )
-    assert compute_timestep(law, e1(), CUBIC) == pytest.approx(
+    assert law_at(law, e1()) == pytest.approx(
         min(0.5, base), abs=1e-14
     )
 
@@ -107,7 +128,7 @@ def test_aa3_formula():
     base = min(
         1.0 / (2.5 + 1.0), (1.0 / (E1_DRIFT_NORM + 1.0)) ** (4.0 / 3.0)
     )  # l2 = 1
-    assert compute_timestep(law, e1(), CUBIC) == pytest.approx(0.5 * base, abs=1e-14)
+    assert law_at(law, e1()) == pytest.approx(0.5 * base, abs=1e-14)
 
 
 def test_min_capped_laws_respect_delta_horizon(rng):
@@ -115,7 +136,7 @@ def test_min_capped_laws_respect_delta_horizon(rng):
         law = TimestepLaw(fam, 2.0**-3, horizon=1.0)
         for _ in range(50):
             field = SpectralField(rng.standard_normal(8) / np.arange(1, 9))
-            assert compute_timestep(law, field, CUBIC) <= 2.0**-3 + 1e-15
+            assert law_at(law, field) <= 2.0**-3 + 1e-15
 
 
 def test_scaled_law_below_capped_sibling(rng):
@@ -124,105 +145,111 @@ def test_scaled_law_below_capped_sibling(rng):
         scaled = TimestepLaw(scaled_fam, 2.0**-2)
         for _ in range(50):
             field = SpectralField(rng.standard_normal(8) / np.arange(1, 9))
-            tc = compute_timestep(capped, field, CUBIC)
-            ts = compute_timestep(scaled, field, CUBIC)
+            tc = law_at(capped, field)
+            ts = law_at(scaled, field)
             assert ts <= tc + 1e-15
 
 
+def test_au5_is_an_alias_of_au3(rng):
+    for delta in (2.0**-2, 2.0**-6):
+        au3, au5 = TimestepLaw("au3", delta), TimestepLaw("au5", delta)
+        for l2, drift_norm in rng.exponential(3.0, size=(50, 2)):
+            assert au5.base_value(l2, drift_norm) == au3.base_value(l2, drift_norm)
+            assert au5.value(l2, drift_norm) == au3.value(l2, drift_norm)
+
+
 # ---------------------------------------------------------------------------
-# single steps
+# single steps: one-step integrate runs
 
 
 def test_ae_step_zero_fixed_point():
-    out = ae_step(zero(), 0.3, np.zeros(8), CUBIC)
-    assert np.all(out.coeffs == 0.0)
+    out, record = one_step(ae(0.3), zero(), 0.3)
+    assert record.branch == ADAPTIVE
+    assert np.all(out == 0.0)
 
 
 def test_ae_step_pure_semigroup_kick():
-    dw = np.zeros(8)
-    dw[0] = 1.0
-    out = ae_step(zero(), 1.0 / np.pi**2, dw, CUBIC)
-    expected = np.zeros(8)
-    expected[0] = math.exp(-1.0)
-    assert np.allclose(out.coeffs, expected, atol=1e-14)
+    # from X = 0, where F(0) = 0, one step is the decayed increment alone;
+    # at tau = 1/pi^2 mode 1 decays by exactly e^-1
+    tau = 1.0 / np.pi**2
+    noise = stream(seed=4)
+    out, _ = one_step(ae(tau), zero(), tau, noise=noise)
+    _, dw = noise.increments(0, tau, 1)
+    decay = np.exp(-tau * eigenvalues(8))
+    assert decay[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert np.allclose(out, decay * dw, rtol=1e-14, atol=0.0)
+    assert np.all(out != 0.0)
 
 
 def test_ae_step_composes_drift_and_semigroup():
     tau = 0.01
-    out = ae_step(e1(), tau, np.zeros(8), CUBIC)
+    out, _ = one_step(ae(tau), e1(), tau)
     drift_coeffs = np.zeros(8)
     drift_coeffs[0], drift_coeffs[2] = -0.5, 0.5
     expected = np.exp(-tau * eigenvalues(8)) * (e1().coeffs + tau * drift_coeffs)
-    assert np.allclose(out.coeffs, expected, atol=1e-14)
+    assert np.allclose(out, expected, atol=1e-14)
 
 
 def test_tamed_step_zero_fixed_point():
-    out = tamed_step(zero(), 0.5, np.zeros(8), CUBIC)
-    assert np.all(out.coeffs == 0.0)
+    out, record = one_step(Scheme("te", h=0.5), zero(), 0.5)
+    assert record.branch == FALLBACK
+    assert np.all(out == 0.0)
 
 
 def test_tamed_step_matches_ae_for_tiny_tau(rng):
     field = SpectralField(rng.standard_normal(8) / np.arange(1, 9))
     tau = 1e-8
-    dw = np.zeros(8)
-    a = ae_step(field, tau, dw, CUBIC)
-    b = tamed_step(field, tau, dw, CUBIC)
-    assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-6 * l2_norm(field)
+    a, _ = one_step(ae(tau), field, tau)
+    b, _ = one_step(Scheme("te", h=tau), field, tau)
+    assert np.max(np.abs(a - b)) <= 1e-6 * l2_norm(field)
 
 
 def test_tamed_step_damps_drift_term():
     tau = 1.0
-    out = tamed_step(e1(), tau, np.zeros(8), CUBIC)
+    out, _ = one_step(Scheme("te", h=tau), e1(), tau)
     drift_coeffs = np.zeros(8)
     drift_coeffs[0], drift_coeffs[2] = -0.5, 0.5
     damp = tau / (1.0 + E1_DRIFT_NORM * tau)  # taming uses ||F^N||
     expected = np.exp(-tau * eigenvalues(8)) * (e1().coeffs + damp * drift_coeffs)
-    assert np.allclose(out.coeffs, expected, atol=1e-14)
-
-
-def test_steps_reject_nonpositive_tau():
-    with pytest.raises(ValueError):
-        ae_step(e1(), 0.0, np.zeros(8), CUBIC)
-    with pytest.raises(ValueError):
-        tamed_step(e1(), -0.1, np.zeros(8), CUBIC)
+    assert np.allclose(out, expected, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# hybrid branch selection
+# hybrid branch selection, read from the first step of an integrate run
+
+
+def first_record(kind, law, field, **kw):
+    res = integrate(Scheme(kind, law=law, **kw), field, 1.0, stream(), CUBIC,
+                    collect_records=True)
+    return res.records[0]
 
 
 def test_hybrid_step_atea_adaptive_branch_at_zero_state():
     # bound = 1/(zeta*0 + xi) = 0.1 and au3 gives tau = 0.25 >= 0.1
     law = TimestepLaw("au3", 0.25, xi=10.0)
-    out, record = hybrid_step("atea", zero(), law, stream(), CUBIC)
+    record = first_record("atea", law, zero())
     assert record.branch == ADAPTIVE
     assert record.tau == pytest.approx(0.25, abs=1e-15)
-    assert out.n_modes == 8
 
 
 def test_hybrid_step_ateu_fallback_branch():
     law = TimestepLaw("uniform", 0.5, fixed_step=0.15, tau_min=0.2)
-    out, record = hybrid_step("ateu", e1(), law, stream(), CUBIC)
+    record = first_record("ateu", law, e1())
     assert record.branch == FALLBACK
     assert record.tau == pytest.approx(min(0.2, 0.5), abs=1e-15)  # = tau_min here
     law_up = TimestepLaw("uniform", 2.0**-4, fixed_step=1e-3, tau_min=0.2)
-    _, rec_capped = hybrid_step("ateu", e1(), law_up, stream(), CUBIC)
+    rec_capped = first_record("ateu", law_up, e1())
+    assert rec_capped.branch == FALLBACK
     assert rec_capped.tau == pytest.approx(2.0**-4)  # fallback capped by delta*T
-    _, rec_raw = hybrid_step(
-        "ateu", e1(), law_up, stream(), CUBIC, uncapped_fallback=True
-    )
+    rec_raw = first_record("ateu", law_up, e1(), uncapped_fallback=True)
+    assert rec_raw.branch == FALLBACK
     assert rec_raw.tau == pytest.approx(0.2)
 
 
 def test_hybrid_step_tie_goes_adaptive():
     law = TimestepLaw("uniform", 1.0, fixed_step=0.2, tau_min=0.2)
-    _, record = hybrid_step("ateu", e1(), law, stream(), CUBIC)
+    record = first_record("ateu", law, e1())
     assert record.branch == ADAPTIVE
-
-
-def test_hybrid_step_rejects_other_kinds():
-    with pytest.raises(ValueError):
-        hybrid_step("ae", e1(), TimestepLaw("au3", 0.5), stream(), CUBIC)
 
 
 def test_scheme_validation():
@@ -320,6 +347,18 @@ def test_atea_branches_on_state_dependent_bound():
         collect_records=True,
     )
     assert res.records[0].branch == FALLBACK
+
+
+def test_errors_survive_pickling():
+    # pool workers hand exceptions back pickled
+    blow = pickle.loads(pickle.dumps(BlowUpError(0.5, 3.0)))
+    assert type(blow) is BlowUpError
+    assert (blow.time, blow.sup_norm) == (0.5, 3.0)
+    assert str(blow) == str(BlowUpError(0.5, 3.0))
+    runaway = pickle.loads(pickle.dumps(RunawayPartitionError(7, 0.25)))
+    assert type(runaway) is RunawayPartitionError
+    assert (runaway.steps, runaway.time) == (7, 0.25)
+    assert str(runaway) == str(RunawayPartitionError(7, 0.25))
 
 
 def test_blow_up_raises_with_location():
@@ -433,7 +472,7 @@ def test_projected_drift_norm_switch():
     # the au3 step differs between the two conventions
     drift = CubicDrift(-1.0, 0.0, 1.0, 2.0)
     law = TimestepLaw("au3", 0.5)
-    full = compute_timestep(law, zero(), drift, projected_drift_norm=False)
-    proj = compute_timestep(law, zero(), drift, projected_drift_norm=True)
+    full = law_at(law, zero(), drift, projected=False)
+    proj = law_at(law, zero(), drift, projected=True)
     assert full != proj
     assert full == pytest.approx(0.5 * (1.0 / (2.0 + 1.0)) ** (4.0 / 3.0), abs=1e-13)

@@ -15,7 +15,6 @@ from .errors import BlowUpError, ConfigError, RunawayPartitionError, StudyError
 from .experiments import (
     FitResult,
     SampleOutcome,
-    SpatialResult,
     StudyConfig,
     StudyResult,
     convergence_study,
@@ -23,20 +22,17 @@ from .experiments import (
     fit_order,
     initial_state,
     rms_error,
-    spatial_study,
     stability_monitor,
 )
 from .config import load_config, load_preset, parse_config, render_config
-from .noise import NoiseSpec, NoiseStream, increment_stddev
+from .noise import NoiseSpec, NoiseStream
 from .spectral import (
     SpectralField,
     apply_fractional_power,
     apply_semigroup,
     eigenvalues,
-    grid_points,
     l2_norm,
     lp_norm,
-    sobolev_norm,
     sup_norm,
 )
 from .stepping import (
@@ -60,7 +56,6 @@ __all__ = [
     "RunawayPartitionError",
     "SampleOutcome",
     "Scheme",
-    "SpatialResult",
     "SpectralField",
     "StepRecord",
     "StudyConfig",
@@ -77,8 +72,6 @@ __all__ = [
     "eigenvalues",
     "evaluate_drift",
     "fit_order",
-    "grid_points",
-    "increment_stddev",
     "initial_state",
     "inner_product_x_f",
     "integrate",
@@ -90,8 +83,6 @@ __all__ = [
     "render_config",
     "rms_error",
     "run_validation",
-    "sobolev_norm",
-    "spatial_study",
     "stability_monitor",
     "sup_norm",
     "__version__",

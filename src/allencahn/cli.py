@@ -28,17 +28,14 @@ from .config import (
 from .errors import BlowUpError, ConfigError, RunawayPartitionError, StudyError
 from .experiments import (
     convergence_study,
-    fit_order,
     initial_state,
     make_scheme,
-    spatial_study,
-    write_errors_csv,
+    write_cells_csv,
     write_slopes_csv,
-    write_spatial_csv,
     write_trace_csv,
 )
 from .noise import NoiseSpec, NoiseStream
-from .stepping import integrate
+from .stepping import SCHEME_KINDS, integrate
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -112,12 +109,6 @@ def _resolve_config(args):
     return cfg, source
 
 
-def _emit(out_dir: Path, name: str, writer) -> str:
-    target = out_dir / name
-    writer(target)
-    return name
-
-
 def cmd_convergence(args) -> int:
     cfg, source = _resolve_config(args)
     out_dir = Path(args.out)
@@ -132,49 +123,17 @@ def cmd_convergence(args) -> int:
     (out_dir / "config_resolved.ini").write_text(render_config(cfg), encoding="utf-8")
     outputs.append("config_resolved.ini")
     try:
-        if cfg.kind == "spatial":
-            result = spatial_study(cfg)
-            outputs.append(
-                _emit(out_dir, "spatial.csv", lambda p: write_spatial_csv(p, result))
-            )
-            slope_rows = []
-            if result.fit is not None:
-                slope_rows.append((cfg.schemes[0], cfg.laws[0], result.fit))
-            outputs.append(
-                _emit(out_dir, "slopes.csv", lambda p: write_slopes_csv(p, slope_rows))
-            )
-            report = result.stability
-        else:
-            result = convergence_study(cfg)
-            outputs.append(
-                _emit(
-                    out_dir, "errors.csv", lambda p: write_errors_csv(p, result.cells)
-                )
-            )
-            outputs.append(
-                _emit(
-                    out_dir,
-                    "slopes.csv",
-                    lambda p: write_slopes_csv(p, result.slopes),
-                )
-            )
-            # delta-axis cross-check fit: step count scales like 1/delta
-            delta_rows = []
-            for s in cfg.schemes:
-                for l in cfg.laws:
-                    series = [result.cell(s, l, d) for d in cfg.deltas]
-                    if len(series) >= 3:
-                        delta_rows.append(
-                            (s, l, fit_order([(1.0 / c.delta, c.rms) for c in series]))
-                        )
-            outputs.append(
-                _emit(
-                    out_dir,
-                    "slopes_delta.csv",
-                    lambda p: write_slopes_csv(p, delta_rows),
-                )
-            )
-            report = result.stability
+        result = convergence_study(cfg)
+        table = "spatial.csv" if cfg.kind == "spatial" else "errors.csv"
+        write_cells_csv(out_dir / table, result)
+        outputs.append(table)
+        fits = [("slopes.csv", result.slopes)]
+        if cfg.kind == "temporal":
+            fits.append(("slopes_delta.csv", result.slopes_delta))
+        for name, rows in fits:
+            write_slopes_csv(out_dir / name, rows)
+            outputs.append(name)
+        report = result.stability
         manifest.status = "complete"
         if report.exceeded or report.divergent_samples:
             manifest.detail = (
@@ -198,7 +157,7 @@ def cmd_trace(args) -> int:
     scheme_kind = args.scheme or cfg.schemes[0]
     law_token = args.law or cfg.laws[0]
     delta = parse_delta_token(args.delta) if args.delta else cfg.deltas[0]
-    if scheme_kind not in ("te", "ae", "ateu", "atea"):
+    if scheme_kind not in SCHEME_KINDS:
         raise ConfigError(f"unknown scheme {scheme_kind!r}")
 
     out_dir = Path(args.out)
@@ -223,13 +182,8 @@ def cmd_trace(args) -> int:
             collect_records=True,
             projected_drift_norm=cfg.projected_drift_norm,
         )
-        outputs.append(
-            _emit(
-                out_dir,
-                "trace.csv",
-                lambda p: write_trace_csv(p, result.records, args.path),
-            )
-        )
+        write_trace_csv(out_dir / "trace.csv", result.records, args.path)
+        outputs.append("trace.csv")
         manifest.status = "complete"
         manifest.detail = f"cell=({scheme_kind}, {law_token}, {delta!r}) steps={result.summary.steps}"
         return 0

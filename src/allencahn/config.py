@@ -33,7 +33,6 @@ _STUDY_KEYS = {
     "threads": int,
     "step_ceiling": int,
     "stability_ceiling": float,
-    "share_paths_across_deltas": bool,
     "spatial_modes": "intlist",
     "spatial_reference": int,
 }
@@ -180,7 +179,6 @@ def render_config(cfg: StudyConfig) -> str:
         f"threads = {cfg.threads}",
         f"step_ceiling = {cfg.step_ceiling}",
         f"stability_ceiling = {repr(cfg.stability_ceiling)}",
-        f"share_paths_across_deltas = {str(cfg.share_paths_across_deltas).lower()}",
     ]
     if cfg.spatial_modes:
         lines.append(

@@ -61,7 +61,6 @@ class StudyConfig:
     tau_min: float = 0.2
     uncapped_fallback: bool = False
     projected_drift_norm: bool = False
-    share_paths_across_deltas: bool = False
     step_ceiling: int = 10_000_000
     stability_ceiling: float = 1000.0
     threads: int = 1
@@ -101,6 +100,10 @@ class StudyConfig:
                 )
             if len(self.deltas) != 1:
                 raise ConfigError("spatial study uses exactly one delta level")
+            if self.schemes != ("te",) or len(self.laws) != 1:
+                raise ConfigError(
+                    "spatial study runs the te scheme alone, under exactly one law"
+                )
 
     @property
     def drift(self) -> CubicDrift:
@@ -278,8 +281,8 @@ def coupled_error_sample(
     same te scheme at `reference_modes` on the same uniform partition: both
     resolutions take the exact-convolution noise form and the same per-mode
     increments, one per step, so the error is the spatial truncation alone
-    and `refinement` is not used.  `spatial_study` makes the same two calls,
-    with the reference shared by every swept mode count.
+    and `refinement` is not used.  A spatial `convergence_study` makes the
+    same two calls, with the reference shared by every swept mode count.
 
     Divergent paths are reported, not raised; they carry the blow-up time
     and count as excluded in the cell aggregation.
@@ -396,9 +399,18 @@ def stability_monitor(cells, ceiling: float = 1000.0) -> StabilityReport:
 
 @dataclass
 class StudyResult:
+    """Cells of a temporal or spatial study, with their fits.
+
+    `slopes` fits log(rms) against log(1/cost) per (scheme, law) series,
+    with cost the mean step count (temporal) or the mode count (spatial);
+    `slopes_delta` fits against 1/delta instead, over three or more delta
+    levels, and is empty for a spatial study.
+    """
+
     config: StudyConfig
     cells: list[CellResult]
     slopes: list[tuple[str, str, FitResult]]  # (scheme, law token, fit)
+    slopes_delta: list[tuple[str, str, FitResult]]
     spearman: dict[tuple[str, str], float]
     stability: StabilityReport
 
@@ -407,12 +419,6 @@ class StudyResult:
             if c.scheme == scheme and c.law == law and c.delta == delta:
                 return c
         raise KeyError((scheme, law, delta))
-
-
-def _path_index(cfg: StudyConfig, delta_index: int, sample: int) -> int:
-    if cfg.share_paths_across_deltas:
-        return sample
-    return delta_index * cfg.samples + sample
 
 
 @contextmanager
@@ -494,8 +500,10 @@ def spearman_rho(x, y) -> float:
     return float(np.corrcoef(rx, ry)[1, 0])
 
 
-def convergence_study(cfg: StudyConfig) -> StudyResult:
-    """Run the full (scheme, law, delta) grid and fit per-cell order slopes.
+def _temporal_cells(
+    cfg: StudyConfig, pool: ProcessPoolExecutor | None
+) -> list[CellResult]:
+    """The (scheme, law, delta) grid, in scheme, law, delta order.
 
     Adaptive cells run first at each level so the te baseline can match its
     uniform step to the realized mean adaptive step count.
@@ -505,9 +513,9 @@ def convergence_study(cfg: StudyConfig) -> StudyResult:
     adaptive = [s for s in cfg.schemes if s != "te"]
     results: dict[tuple[str, str, float], CellResult] = {}
 
-    def run_cell(scheme_kind, law_token, delta, i, te_h, pool):
+    def run_cell(scheme_kind, law_token, delta, i, te_h):
         args = [
-            (cfg, scheme_kind, law_token, delta, _path_index(cfg, i, s), te_h)
+            (cfg, scheme_kind, law_token, delta, i * cfg.samples + s, te_h)
             for s in range(cfg.samples)
         ]
         results[(scheme_kind, law_token, delta)] = _run_cell(
@@ -515,59 +523,30 @@ def convergence_study(cfg: StudyConfig) -> StudyResult:
             _temporal_sample, args,
         )
 
-    with _pool(cfg) as pool:
-        for law_token in cfg.laws:
-            for i, delta in enumerate(cfg.deltas):
-                for scheme_kind in adaptive:
-                    run_cell(scheme_kind, law_token, delta, i, None, pool)
-                if "te" in cfg.schemes:
-                    te_h = None
-                    for preferred in ("ateu", "atea", "ae"):
-                        key = (preferred, law_token, delta)
-                        if key in results:
-                            te_h = cfg.horizon / results[key].mean_steps
-                            break
-                    if te_h is None:
-                        te_h = delta * cfg.horizon
-                    run_cell("te", law_token, delta, i, te_h, pool)
-
-    cells = [
+    for law_token in cfg.laws:
+        for i, delta in enumerate(cfg.deltas):
+            for scheme_kind in adaptive:
+                run_cell(scheme_kind, law_token, delta, i, None)
+            if "te" in cfg.schemes:
+                te_h = delta * cfg.horizon
+                for preferred in ("ateu", "atea", "ae"):
+                    key = (preferred, law_token, delta)
+                    if key in results:
+                        te_h = cfg.horizon / results[key].mean_steps
+                        break
+                run_cell("te", law_token, delta, i, te_h)
+    return [
         results[(s, l, d)]
         for s in cfg.schemes
         for l in cfg.laws
         for d in cfg.deltas
     ]
-    slopes = []
-    spearman: dict[tuple[str, str], float] = {}
-    for s in cfg.schemes:
-        for l in cfg.laws:
-            series = [results[(s, l, d)] for d in cfg.deltas]
-            if len(series) >= 3:
-                slopes.append(
-                    (s, l, fit_order([(c.mean_steps, c.rms) for c in series]))
-                )
-            if len(series) >= 2:
-                spearman[(s, l)] = spearman_rho(
-                    [c.delta for c in series], [c.rms for c in series]
-                )
-    stability = stability_monitor(cells, cfg.stability_ceiling)
-    return StudyResult(cfg, cells, slopes, spearman, stability)
 
 
-@dataclass
-class SpatialResult:
-    config: StudyConfig
-    cells: list[CellResult]  # one per swept mode count
-    fit: FitResult | None
-    reference_modes: int
-
-    @property
-    def stability(self) -> StabilityReport:
-        return stability_monitor(self.cells, self.config.stability_ceiling)
-
-
-def spatial_study(cfg: StudyConfig) -> SpatialResult:
-    """Sweep the mode count against a shared higher-resolution reference.
+def _spatial_cells(
+    cfg: StudyConfig, pool: ProcessPoolExecutor | None
+) -> list[CellResult]:
+    """One te cell per swept mode count, against a shared higher-resolution reference.
 
     All resolutions at one sample share the partition (uniform step
     delta * T under te) and the mode-wise increments of the reference
@@ -581,36 +560,67 @@ def spatial_study(cfg: StudyConfig) -> SpatialResult:
     compared with every swept mode count; a cell's cpu_seconds covers its
     own mode count's runs only.
     """
-    if cfg.kind != "spatial":
-        raise ConfigError("config is not a spatial study")
-    scheme_kind = cfg.schemes[0]
-    if scheme_kind != "te":
-        raise ConfigError("spatial study needs the te scheme's uniform partition")
     delta = cfg.deltas[0]
     law_token = cfg.laws[0]
     te_h = delta * cfg.horizon
-    scheme = make_scheme(cfg, scheme_kind, law_token, delta, te_h)
+    scheme = make_scheme(cfg, "te", law_token, delta, te_h)
     n_ref = cfg.spatial_reference
     # n_ref exceeds every swept count, so one n_ref-mode stream serves all.
-    streams = [
-        _stream(cfg, _path_index(cfg, 0, s), n_ref) for s in range(cfg.samples)
-    ]
-    with _pool(cfg) as pool:
-        references = _map(
-            pool, _spatial_reference, [(cfg, scheme, st, n_ref) for st in streams]
+    streams = [_stream(cfg, s, n_ref) for s in range(cfg.samples)]
+    references = _map(
+        pool, _spatial_reference, [(cfg, scheme, st, n_ref) for st in streams]
+    )
+    return [
+        _run_cell(
+            "te", law_token, delta, te_h, n, pool, _spatial_sample,
+            [(cfg, scheme, st, n, ref) for st, ref in zip(streams, references)],
         )
-        cells = [
-            _run_cell(
-                scheme_kind, law_token, delta, te_h, n, pool, _spatial_sample,
-                [(cfg, scheme, st, n, ref) for st, ref in zip(streams, references)],
+        for n in cfg.spatial_modes
+    ]
+
+
+def convergence_study(cfg: StudyConfig) -> StudyResult:
+    """Run a temporal or spatial study and fit its order slopes.
+
+    A temporal config runs the (scheme, law, delta) grid; a spatial config
+    sweeps the mode count at one te cell.  Either way each (scheme, law)
+    series of cells is fitted against its cost: the mean step count, or
+    the mode count, so the fitted slope is the spatial order.
+    """
+    spatial = cfg.kind == "spatial"
+    with _pool(cfg) as pool:
+        cells = (_spatial_cells if spatial else _temporal_cells)(cfg, pool)
+
+    series: dict[tuple[str, str], list[CellResult]] = {}
+    for c in cells:
+        series.setdefault((c.scheme, c.law), []).append(c)
+    slopes, slopes_delta = [], []
+    spearman: dict[tuple[str, str], float] = {}
+    for (s, l), run in series.items():
+        if len(run) >= 3:
+            cost = [c.n_modes if spatial else c.mean_steps for c in run]
+            slopes.append((s, l, fit_order(zip(cost, [c.rms for c in run]))))
+        if len(cfg.deltas) >= 3:
+            # delta-axis cross-check: step count scales like 1/delta
+            slopes_delta.append(
+                (s, l, fit_order([(1.0 / c.delta, c.rms) for c in run]))
             )
-            for n in cfg.spatial_modes
-        ]
-    fit = None
-    if len(cells) >= 3:
-        # cost = mode count, so the fitted slope is the spatial order.
-        fit = fit_order([(c.n_modes, c.rms) for c in cells])
-    return SpatialResult(cfg, cells, fit, n_ref)
+        if len(cfg.deltas) >= 2:
+            spearman[(s, l)] = spearman_rho(
+                [c.delta for c in run], [c.rms for c in run]
+            )
+    stability = stability_monitor(cells, cfg.stability_ceiling)
+    return StudyResult(cfg, cells, slopes, slopes_delta, spearman, stability)
+
+
+def spatial_study(cfg: StudyConfig) -> StudyResult:
+    """`convergence_study` of a spatial config; a temporal one is an error.
+
+    Kept for callers that still choose the study entry by kind.
+    """
+    if cfg.kind != "spatial":
+        raise ConfigError("config is not a spatial study")
+    return convergence_study(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +628,16 @@ def spatial_study(cfg: StudyConfig) -> SpatialResult:
 # floats are written with repr (shortest round-trip) so identical studies
 # produce identical bytes, except for the cpu_seconds column.
 
-def write_errors_csv(path, cells) -> None:
+def write_cells_csv(path, result: StudyResult) -> None:
+    """One row per cell, keyed by scheme and law, or by n_modes and n_ref
+    for a spatial study."""
+    cfg = result.config
+    spatial = cfg.kind == "spatial"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(
-            [
-                "scheme",
-                "law",
+            (["n_modes", "n_ref"] if spatial else ["scheme", "law"])
+            + [
                 "delta",
                 "mean_steps",
                 "rms_error",
@@ -632,11 +645,10 @@ def write_errors_csv(path, cells) -> None:
                 "divergent_samples",
             ]
         )
-        for c in cells:
+        for c in result.cells:
             w.writerow(
-                [
-                    c.scheme,
-                    c.law,
+                ([c.n_modes, cfg.spatial_reference] if spatial else [c.scheme, c.law])
+                + [
                     repr(c.delta),
                     repr(c.mean_steps),
                     repr(c.rms),
@@ -673,33 +685,5 @@ def write_trace_csv(path, records, path_index: int = 0) -> None:
                     repr(r.norm_l2),
                     repr(r.norm_sup),
                     repr(r.norm_drift),
-                ]
-            )
-
-
-def write_spatial_csv(path, result: SpatialResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "n_modes",
-                "n_ref",
-                "delta",
-                "mean_steps",
-                "rms_error",
-                "cpu_seconds",
-                "divergent_samples",
-            ]
-        )
-        for c in result.cells:
-            w.writerow(
-                [
-                    c.n_modes,
-                    result.reference_modes,
-                    repr(c.delta),
-                    repr(c.mean_steps),
-                    repr(c.rms),
-                    repr(c.cpu_seconds),
-                    c.divergent,
                 ]
             )

@@ -17,12 +17,7 @@ import pytest
 
 from allencahn.config import load_preset
 from allencahn.drift import CubicDrift, apply_drift
-from allencahn.experiments import (
-    convergence_study,
-    fit_order,
-    spatial_study,
-    write_errors_csv,
-)
+from allencahn.experiments import convergence_study, fit_order, write_cells_csv
 from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import SpectralField, l2_norm, lp_norm
 
@@ -49,7 +44,7 @@ def study_white():
 
 @pytest.fixture(scope="module")
 def study_spatial():
-    return spatial_study(load_preset("spatial-desk"))
+    return convergence_study(load_preset("spatial-desk"))
 
 
 def _slope_table(study):
@@ -135,7 +130,7 @@ def test_criterion_3_spatial_order_trace_class(study_spatial):
     for cell, tail in zip(study_spatial.cells, tails):
         print(f"criterion 3 cell N={cell.n_modes}: rms={cell.rms!r} "
               f"tail={tail!r} ratio={cell.rms / tail:.4f}")
-    slope = study_spatial.fit.slope
+    slope = _slope_table(study_spatial)[("te", "type1")].slope
     lo = SPATIAL_FLOOR
     print(f"criterion 3: measured spatial slope {slope:.6f}, "
           f"tail slope {s_tail:.6f}, floor {lo}, tolerance {SPATIAL_TOL}")
@@ -278,8 +273,8 @@ def test_criterion_8_stability(study_trace, study_white):
 def test_criterion_9_determinism(study_white, tmp_path):
     rerun = convergence_study(load_preset("desk-white"))
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    write_errors_csv(first, study_white.cells)
-    write_errors_csv(second, rerun.cells)
+    write_cells_csv(first, study_white)
+    write_cells_csv(second, rerun)
 
     def rows_without_cpu(path):
         lines = path.read_text(encoding="utf-8").splitlines()

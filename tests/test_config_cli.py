@@ -247,6 +247,30 @@ def test_cli_smoke_run_outputs(smoke_run):
     ]
 
 
+def test_cli_spatial_run_outputs(tmp_path):
+    cfg_file = tmp_path / "spatial.ini"
+    cfg_file.write_text(render_config(spatial_cfg()), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--config", str(cfg_file), "--out", str(out)) == 0
+    written = ("config_resolved.ini", "spatial.csv", "slopes.csv", "manifest.txt")
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
+    manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+    assert "status = complete" in manifest
+    for name in written[:3]:
+        assert manifest.count(f"output = {name}") == 1
+    assert manifest.count("output = ") == 3
+    spatial = (out / "spatial.csv").read_text(encoding="utf-8").splitlines()
+    assert spatial[0] == (
+        "n_modes,n_ref,delta,mean_steps,rms_error,cpu_seconds,divergent_samples"
+    )
+    assert [row.split(",")[:2] for row in spatial[1:]] == [
+        ["8", "64"], ["16", "64"], ["32", "64"]
+    ]
+    slopes = (out / "slopes.csv").read_text(encoding="utf-8").splitlines()
+    assert slopes[0] == "scheme,law,slope,intercept,r_squared"
+    assert [row.split(",")[:2] for row in slopes[1:]] == [["te", "type1"]]
+
+
 def _errors_without_cpu(path):
     rows = [
         line.split(",")

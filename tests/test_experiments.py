@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -22,9 +23,8 @@ from allencahn.experiments import (
     spatial_study,
     spearman_rho,
     stability_monitor,
-    write_errors_csv,
+    write_cells_csv,
     write_slopes_csv,
-    write_spatial_csv,
     write_trace_csv,
 )
 from allencahn.noise import NoiseSpec, NoiseStream
@@ -142,20 +142,21 @@ def test_study_config_validation():
         small_config(schemes=("te", "euler"))
     with pytest.raises(ConfigError):
         small_config(laws=("type7",))
+    # each spatial case below breaks one rule of an otherwise valid config
     with pytest.raises(ConfigError):
-        small_config(kind="spatial")  # no spatial_modes
+        spatial_config(spatial_modes=())
     with pytest.raises(ConfigError):
-        small_config(
-            kind="spatial", spatial_modes=(8, 4), spatial_reference=64,
-            deltas=(0.125,),
-        )
+        spatial_config(spatial_modes=(8, 4))  # must increase
     with pytest.raises(ConfigError):
-        small_config(
-            kind="spatial", spatial_modes=(8, 16), spatial_reference=16,
-            deltas=(0.125,),
-        )
+        spatial_config(spatial_reference=16)
     with pytest.raises(ConfigError):
-        small_config(kind="spatial", spatial_modes=(8, 16), spatial_reference=64)
+        spatial_config(deltas=(0.25, 0.125))
+    # a spatial study runs te under one law; nothing is dropped silently
+    for schemes in (("ateu",), ("te", "ateu")):
+        with pytest.raises(ConfigError):
+            spatial_config(schemes=schemes)
+    with pytest.raises(ConfigError):
+        spatial_config(laws=("type1", "type2"))
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +319,14 @@ def test_spatial_study_sweep():
         refinement=2,
         seed=7,
     )
-    res = spatial_study(cfg)
+    res = convergence_study(cfg)
     assert [c.n_modes for c in res.cells] == [4, 8, 16]
-    assert res.reference_modes == 32
+    assert res.config.spatial_reference == 32
     rms = [c.rms for c in res.cells]
     assert all(r > 0 for r in rms)
     assert rms[2] < rms[0]  # refining in space reduces the coupled error
-    assert res.fit is not None and res.fit.slope > 0
+    [(scheme, law, fit)] = res.slopes
+    assert (scheme, law) == ("te", "type1") and fit.slope > 0
     assert not res.stability.exceeded
 
 
@@ -359,8 +361,8 @@ def test_spatial_sample_shares_the_partition():
 
 def test_spatial_study_ignores_refinement():
     cfg = spatial_config()
-    res = spatial_study(cfg)
-    other = spatial_study(spatial_config(refinement=1))
+    res = convergence_study(cfg)
+    other = convergence_study(spatial_config(refinement=1))
     assert [c.rms for c in other.cells] == [c.rms for c in res.cells]
     # each stored outcome is the single-path sample
     cell = res.cells[1]
@@ -373,7 +375,7 @@ def test_spatial_study_ignores_refinement():
 
 def test_spatial_study_needs_uniform_partition():
     with pytest.raises(ConfigError):
-        spatial_study(spatial_config(schemes=("ateu",)))
+        convergence_study(spatial_config(schemes=("ateu",)))
     with pytest.raises(ValueError):
         coupled_error_sample(
             spatial_config(), "ateu", "type1", 2.0**-3, 0,
@@ -395,7 +397,7 @@ def test_spatial_reference_is_integrated_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(experiments, "integrate", counting)
     cfg = spatial_config()
-    spatial_study(cfg)
+    convergence_study(cfg)
     # S references, then S paths for each of the K swept mode counts
     assert sorted(calls) == sorted(
         [cfg.spatial_reference] * cfg.samples
@@ -403,25 +405,38 @@ def test_spatial_reference_is_integrated_once_per_sample(monkeypatch):
     )
 
 
-def _spatial_rows(tmp_path, result):
-    out = tmp_path / "spatial.csv"
-    write_spatial_csv(out, result)
+def _cell_rows(tmp_path, result):
+    out = tmp_path / "cells.csv"
+    write_cells_csv(out, result)
     rows = [line.split(",") for line in _read(out)]
     drop = rows[0].index("cpu_seconds")
     return [row[:drop] + row[drop + 1:] for row in rows]
 
 
-def test_spatial_study_same_at_every_worker_count(tmp_path):
-    serial = spatial_study(spatial_config())
-    pooled = spatial_study(spatial_config(threads=2))
-    assert _spatial_rows(tmp_path, pooled) == _spatial_rows(tmp_path, serial)
+def _same_at_every_worker_count(tmp_path, cfg):
+    serial = convergence_study(cfg)
+    pooled = convergence_study(dataclasses.replace(cfg, threads=2))
+    assert _cell_rows(tmp_path, pooled) == _cell_rows(tmp_path, serial)
+    assert len(pooled.cells) == len(serial.cells)
     for a, b in zip(serial.cells, pooled.cells):
         assert repr(a.outcomes) == repr(b.outcomes)
 
 
+def test_spatial_study_same_at_every_worker_count(tmp_path):
+    _same_at_every_worker_count(tmp_path, spatial_config())
+
+
+def test_temporal_study_same_at_every_worker_count(tmp_path):
+    # six samples split unevenly over the pool's chunks of four
+    cfg = small_config(
+        schemes=("te", "ateu", "atea"), deltas=(2.0**-2, 2.0**-3), samples=6
+    )
+    _same_at_every_worker_count(tmp_path, cfg)
+
+
 def test_spatial_outcomes_equal_single_path_samples():
     cfg = spatial_config()
-    res = spatial_study(cfg)
+    res = convergence_study(cfg)
     for cell in res.cells:
         for s, stored in enumerate(cell.outcomes):
             alone = coupled_error_sample(
@@ -495,7 +510,7 @@ def _read(path):
 
 def test_errors_csv_schema(tmp_path, small_study):
     out = tmp_path / "errors.csv"
-    write_errors_csv(out, small_study.cells)
+    write_cells_csv(out, small_study)
     lines = _read(out)
     assert lines[0] == (
         "scheme,law,delta,mean_steps,rms_error,cpu_seconds,divergent_samples"
@@ -547,9 +562,9 @@ def test_spatial_csv_schema(tmp_path):
         samples=2,
         refinement=2,
     )
-    res = spatial_study(cfg)
+    res = convergence_study(cfg)
     out = tmp_path / "spatial.csv"
-    write_spatial_csv(out, res)
+    write_cells_csv(out, res)
     lines = _read(out)
     assert lines[0] == (
         "n_modes,n_ref,delta,mean_steps,rms_error,cpu_seconds,divergent_samples"
@@ -562,8 +577,8 @@ def test_spatial_csv_schema(tmp_path):
 def test_errors_csv_bitwise_reproducible(tmp_path):
     cfg = small_config(deltas=(0.25, 0.125), samples=2, schemes=("ateu",))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_errors_csv(a, convergence_study(cfg).cells)
-    write_errors_csv(b, convergence_study(cfg).cells)
+    write_cells_csv(a, convergence_study(cfg))
+    write_cells_csv(b, convergence_study(cfg))
 
     def strip_cpu(path):
         rows = [l.split(",") for l in _read(path)]

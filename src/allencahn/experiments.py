@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -415,70 +416,92 @@ class StudyResult:
     stability: StabilityReport
 
     def cell(self, scheme: str, law: str, delta: float) -> CellResult:
-        for c in self.cells:
-            if c.scheme == scheme and c.law == law and c.delta == delta:
-                return c
-        raise KeyError((scheme, law, delta))
+        """The one cell with this key; a spatial study's cells all share one."""
+        found = [
+            c for c in self.cells
+            if c.scheme == scheme and c.law == law and c.delta == delta
+        ]
+        if len(found) > 1:
+            raise KeyError(
+                f"{len(found)} cells match {(scheme, law, delta)}; "
+                "pick a spatial cell from cells by n_modes"
+            )
+        if not found:
+            raise KeyError((scheme, law, delta))
+        return found[0]
 
 
 @contextmanager
 def _pool(cfg: StudyConfig):
-    """A process pool of cfg.threads workers, or None to run in this process."""
+    """A process pool of cfg.threads workers, or None to run in this process.
+
+    A study that raises cancels the paths still queued; a normal exit waits.
+    """
     if cfg.threads <= 1:
         yield None
         return
     pool = ProcessPoolExecutor(max_workers=cfg.threads)
     try:
         yield pool
-    finally:
-        pool.shutdown()
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
+
+
+def _timed(task, *args):
+    """task(*args) and the process CPU seconds it took."""
+    start = time.process_time()
+    out = task(*args)
+    return out, time.process_time() - start
 
 
 def _map(pool: ProcessPoolExecutor | None, task, args) -> list:
-    """task(*a) for every tuple a in args, in order; on the pool if there is one."""
+    """(task(*a), its CPU seconds) for every tuple a in args, in order.
+
+    On the pool if there is one: a whole wave of paths goes in one map,
+    so no worker waits at a cell boundary.
+    """
     if pool is None:
-        return [task(*a) for a in args]
-    return list(pool.map(task, *zip(*args), chunksize=4))
+        return [_timed(task, *a) for a in args]
+    return list(pool.map(partial(_timed, task), *zip(*args), chunksize=4))
 
 
-def _run_cell(
-    scheme_kind: str,
-    law_token: str,
-    delta: float,
-    te_h: float | None,
-    n_modes: int,
-    pool: ProcessPoolExecutor | None,
-    task,
-    args,
-) -> CellResult:
-    """Map `task` over the cell's per-sample `args` and aggregate the outcomes."""
-    start = time.perf_counter()
-    outcomes = _map(pool, task, args)
-    cpu = time.perf_counter() - start
+def _cells(keys, timed, samples: int) -> list[CellResult]:
+    """Split a wave's (outcome, CPU seconds) list into cells, in `keys` order.
 
-    errors = [o.error for o in outcomes if not o.diverged]
-    divergent = sum(o.diverged for o in outcomes)
-    if not errors:
-        raise StudyError(
-            f"every sample diverged in cell ({scheme_kind}, {law_token}, {delta})"
+    Each key (scheme, law token, delta, te_h, n_modes) owns the next
+    `samples` entries; its cpu_seconds is the sum of their CPU seconds.
+    """
+    cells = []
+    for k, (scheme_kind, law_token, delta, te_h, n_modes) in enumerate(keys):
+        block = timed[k * samples : (k + 1) * samples]
+        outcomes = [o for o, _ in block]
+        errors = [o.error for o in outcomes if not o.diverged]
+        if not errors:
+            raise StudyError(
+                f"every sample diverged in cell ({scheme_kind}, {law_token}, {delta})"
+            )
+        counted = [o.steps for o in outcomes if not o.diverged]
+        family = None
+        if scheme_kind != "te":
+            family = resolve_family(law_token, scheme_kind)
+        cells.append(
+            CellResult(
+                scheme=scheme_kind,
+                law=law_token,
+                family=family,
+                delta=delta,
+                rms=rms_error(errors),
+                mean_steps=float(np.mean(counted)),
+                cpu_seconds=math.fsum(cpu for _, cpu in block),
+                divergent=sum(o.diverged for o in outcomes),
+                te_h=te_h,
+                outcomes=tuple(outcomes),
+                n_modes=n_modes,
+            )
         )
-    counted = [o.steps for o in outcomes if not o.diverged]
-    family = None
-    if scheme_kind != "te":
-        family = resolve_family(law_token, scheme_kind)
-    return CellResult(
-        scheme=scheme_kind,
-        law=law_token,
-        family=family,
-        delta=delta,
-        rms=rms_error(errors),
-        mean_steps=float(np.mean(counted)),
-        cpu_seconds=cpu,
-        divergent=divergent,
-        te_h=te_h,
-        outcomes=tuple(outcomes),
-        n_modes=n_modes,
-    )
+    return cells
 
 
 def _average_ranks(x) -> np.ndarray:
@@ -505,36 +528,50 @@ def _temporal_cells(
 ) -> list[CellResult]:
     """The (scheme, law, delta) grid, in scheme, law, delta order.
 
-    Adaptive cells run first at each level so the te baseline can match its
-    uniform step to the realized mean adaptive step count.
+    Every adaptive path runs in a first wave, so the te baseline can match
+    its uniform step to the realized mean adaptive step count; every te
+    path runs in a second.  Sample s at delta level i is path i * samples + s.
     """
     if cfg.refinement < 2:
         raise ConfigError("error studies need refinement >= 2")
-    adaptive = [s for s in cfg.schemes if s != "te"]
-    results: dict[tuple[str, str, float], CellResult] = {}
 
-    def run_cell(scheme_kind, law_token, delta, i, te_h):
+    def wave(keys):
+        """The cells of `keys` = (scheme, law, delta level, delta, te_h), by key."""
         args = [
             (cfg, scheme_kind, law_token, delta, i * cfg.samples + s, te_h)
+            for scheme_kind, law_token, i, delta, te_h in keys
             for s in range(cfg.samples)
         ]
-        results[(scheme_kind, law_token, delta)] = _run_cell(
-            scheme_kind, law_token, delta, te_h, cfg.n_modes, pool,
-            _temporal_sample, args,
+        timed = _map(pool, _temporal_sample, args)
+        cells = _cells(
+            [(sk, lt, d, te_h, cfg.n_modes) for sk, lt, _, d, te_h in keys],
+            timed,
+            cfg.samples,
         )
+        return {(c.scheme, c.law, c.delta): c for c in cells}
 
-    for law_token in cfg.laws:
-        for i, delta in enumerate(cfg.deltas):
-            for scheme_kind in adaptive:
-                run_cell(scheme_kind, law_token, delta, i, None)
-            if "te" in cfg.schemes:
+    levels = list(enumerate(cfg.deltas))
+    results = wave(
+        [
+            (scheme_kind, law_token, i, delta, None)
+            for scheme_kind in cfg.schemes
+            if scheme_kind != "te"
+            for law_token in cfg.laws
+            for i, delta in levels
+        ]
+    )
+    if "te" in cfg.schemes:
+        te_keys = []
+        for law_token in cfg.laws:
+            for i, delta in levels:
                 te_h = delta * cfg.horizon
                 for preferred in ("ateu", "atea", "ae"):
                     key = (preferred, law_token, delta)
                     if key in results:
                         te_h = cfg.horizon / results[key].mean_steps
                         break
-                run_cell("te", law_token, delta, i, te_h)
+                te_keys.append(("te", law_token, i, delta, te_h))
+        results.update(wave(te_keys))
     return [
         results[(s, l, d)]
         for s in cfg.schemes
@@ -556,9 +593,9 @@ def _spatial_cells(
     receives almost no noise, and the error would collapse instead of
     showing the truncated noise tail.  `refinement` is not used.
 
-    Each sample's reference is integrated once, before the sweep, and
-    compared with every swept mode count; a cell's cpu_seconds covers its
-    own mode count's runs only.
+    Each sample's reference is integrated once, in a first map, and
+    compared with every swept mode count in a second; a cell's cpu_seconds
+    covers its own mode count's runs only.
     """
     delta = cfg.deltas[0]
     law_token = cfg.laws[0]
@@ -567,16 +604,23 @@ def _spatial_cells(
     n_ref = cfg.spatial_reference
     # n_ref exceeds every swept count, so one n_ref-mode stream serves all.
     streams = [_stream(cfg, s, n_ref) for s in range(cfg.samples)]
-    references = _map(
-        pool, _spatial_reference, [(cfg, scheme, st, n_ref) for st in streams]
-    )
-    return [
-        _run_cell(
-            "te", law_token, delta, te_h, n, pool, _spatial_sample,
-            [(cfg, scheme, st, n, ref) for st, ref in zip(streams, references)],
+    references = [
+        ref
+        for ref, _ in _map(
+            pool, _spatial_reference, [(cfg, scheme, st, n_ref) for st in streams]
         )
-        for n in cfg.spatial_modes
     ]
+    timed = _map(
+        pool,
+        _spatial_sample,
+        [
+            (cfg, scheme, st, n, ref)
+            for n in cfg.spatial_modes
+            for st, ref in zip(streams, references)
+        ],
+    )
+    keys = [("te", law_token, delta, te_h, n) for n in cfg.spatial_modes]
+    return _cells(keys, timed, cfg.samples)
 
 
 def convergence_study(cfg: StudyConfig) -> StudyResult:

@@ -77,11 +77,31 @@ class NoiseStream:
         if not 0 <= self.path < 2**32:
             raise ValueError("path index must fit in 32 bits")
 
+    def __getstate__(self):
+        # The reused Philox is a cache: pickles carry the fields only, as do
+        # __eq__, __hash__ and repr, which see dataclass fields alone.
+        return {k: v for k, v in self.__dict__.items() if k != "_rng"}
+
     def _generator(self, step: int) -> Generator:
+        """The generator of Generator(Philox(key)) for this step's key.
+
+        One Philox is built per stream and reset to the fresh state of the
+        step's key before each draw (counter, buffer, buffer_pos, has_uint32
+        and uinteger included), so draws are bitwise those of a new one.
+        """
         if not 0 <= step < 2**32:
             raise ValueError("step ordinal must fit in 32 bits")
         key = np.array([self.seed, (self.path << 32) | step], dtype=np.uint64)
-        return Generator(Philox(key=key))
+        rng = self.__dict__.get("_rng")
+        if rng is None:
+            bitgen = Philox(key=key)
+            rng = (bitgen, Generator(bitgen), bitgen.state)
+            object.__setattr__(self, "_rng", rng)
+            return rng[1]
+        bitgen, gen, fresh = rng
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        return gen
 
     def increments(
         self, step: int, dt: float, r: int = 1

@@ -69,7 +69,9 @@ def coeffs_to_values(coeffs: np.ndarray, m: int) -> np.ndarray:
     # the basis carries an extra sqrt(2).
     buf = np.zeros(m)
     buf[: coeffs.size] = coeffs
-    return dst(buf, type=1) / _SQRT2
+    values = dst(buf, type=1, overwrite_x=True)
+    values /= _SQRT2
+    return values
 
 
 def values_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:

@@ -325,6 +325,7 @@ def integrate(
     records: list[StepRecord] | None = [] if collect_records else None
     t = 0.0
     final = False
+    step_tau = None  # the tau that decay, decay_ref, sub and weight belong to
 
     while t < horizon:
         if summary.steps >= step_ceiling:
@@ -332,7 +333,7 @@ def integrate(
 
         ev = evaluate_drift(drift, x, m_grid)
         drift_norm = ev.projected_norm if projected_drift_norm else ev.image_norm
-        l2 = float(np.linalg.norm(x))
+        l2 = math.sqrt(np.dot(x, x))
 
         if scheme.kind == "te":
             branch, tau, use_tamed = FALLBACK, scheme.h, True
@@ -353,15 +354,18 @@ def integrate(
 
         fine, coarse = stream.increments(summary.steps, tau, refinement)
 
-        weight = None
-        if exact_convolution:
-            two_lam_tau = 2.0 * tau * lam
-            weight = np.sqrt(-np.expm1(-two_lam_tau) / two_lam_tau)
-        x = _update(x, ev, tau, np.exp(-tau * lam), coarse[:n], use_tamed, t, weight)
+        if tau != step_tau:  # under te: the first step and the final clamp
+            step_tau = tau
+            decay = np.exp(-tau * lam)
+            weight = None
+            if exact_convolution:
+                two_lam_tau = 2.0 * tau * lam
+                weight = np.sqrt(-np.expm1(-two_lam_tau) / two_lam_tau)
+            sub = tau / refinement
+            decay_ref = np.exp(-sub * lam) if track_reference else None
+        x = _update(x, ev, tau, decay, coarse[:n], use_tamed, t, weight)
 
         if track_reference:
-            sub = tau / refinement
-            decay_ref = np.exp(-sub * lam)
             for j in range(refinement):
                 evr = evaluate_drift(drift, xr, m_grid)
                 xr = _update(

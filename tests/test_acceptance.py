@@ -17,7 +17,12 @@ import pytest
 
 from allencahn.config import load_preset
 from allencahn.drift import CubicDrift, apply_drift
-from allencahn.experiments import convergence_study, fit_order, write_cells_csv
+from allencahn.experiments import (
+    convergence_study,
+    coupled_error_sample,
+    fit_order,
+    write_cells_csv,
+)
 from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import SpectralField, l2_norm, lp_norm
 
@@ -196,6 +201,23 @@ def test_criterion_5_coupling_exactness(study_trace, study_white, study_spatial)
     # both noise kinds.  The spatial study draws one increment per step and
     # has no refined reference, so it witnesses no sum.
     assert study_trace.cells and study_white.cells and study_spatial.cells
+    # Stored study outcomes against independent single-path replays: a
+    # study that hands a path's outcome to the wrong cell or sample fails.
+    cfg = study_trace.config
+    picks = (
+        ("ateu", "type1", 0, 37),
+        ("atea", "type2", 2, 5),
+        ("te", "type3", 5, 99),
+        ("ateu", "type3", 3, 61),
+        ("atea", "type1", 5, 13),
+        ("te", "type2", 1, 88),
+    )
+    for scheme, law, i, s in picks:
+        cell = study_trace.cell(scheme, law, cfg.deltas[i])
+        alone = coupled_error_sample(
+            cfg, scheme, law, cell.delta, i * cfg.samples + s, te_h=cell.te_h
+        )
+        assert repr(alone) == repr(cell.outcomes[s]), (scheme, law, cell.delta, s)
     # independent spot checks of the draw contract, both noise kinds
     checks = 0
     for kind, n in (("trace-class", 512), ("white", 256)):
@@ -211,7 +233,7 @@ def test_criterion_5_coupling_exactness(study_trace, study_white, study_spatial)
                     assert np.array_equal(fine, again_fine)
                     assert np.array_equal(coarse, again_coarse)
                     checks += 1
-    print(f"criterion 5: PASS - studies completed; "
+    print(f"criterion 5: PASS - {len(picks)} stored outcomes replayed; "
           f"{checks} exact draw identities")
 
 

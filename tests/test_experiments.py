@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -306,6 +307,65 @@ def test_pooled_study_reports_runaway_partition():
         convergence_study(cfg)
 
 
+class _RecordingPool:
+    """Runs a pool's map in this process and records how it is shut down."""
+
+    shutdowns: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def map(self, fn, *iterables, chunksize=1):
+        return [fn(*a) for a in zip(*iterables)]
+
+    def shutdown(self, *args, **kwargs):
+        self.shutdowns.append((args, kwargs))
+
+
+def test_pool_cancels_queued_paths_only_when_a_study_raises(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "shutdowns", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    cfg = StudyConfig(
+        deltas=(0.25, 0.125), schemes=("te",), n_modes=8, samples=2,
+        refinement=2, threads=2,
+    )
+    convergence_study(cfg)
+    assert _RecordingPool.shutdowns == [((), {})]
+    with pytest.raises(RunawayPartitionError):
+        convergence_study(dataclasses.replace(cfg, step_ceiling=2))
+    assert _RecordingPool.shutdowns[1:] == [((), {"cancel_futures": True})]
+
+
+def test_temporal_study_runs_in_two_maps(monkeypatch):
+    calls = []
+    original = experiments._map
+
+    def counting(pool, task, args):
+        calls.append(len(args))
+        return original(pool, task, args)
+
+    monkeypatch.setattr(experiments, "_map", counting)
+    cfg = small_config(schemes=("te", "ateu", "atea"), deltas=(0.25, 0.125), samples=3)
+    convergence_study(cfg)
+    # every adaptive path, then every te path
+    assert calls == [2 * 2 * 3, 2 * 3]
+
+
+def test_cpu_seconds_is_the_cpu_time_of_the_cells_paths(monkeypatch):
+    nap = 0.02
+
+    def sleepy(*args, **kwargs):
+        time.sleep(nap)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", sleepy)
+    cfg = small_config(n_modes=8, deltas=(0.5, 0.25), samples=3)
+    res = convergence_study(cfg)
+    for cell in res.cells:
+        # one integrate call per temporal path; wall time would include the naps
+        assert 0.0 < cell.cpu_seconds < 0.5 * nap * cfg.samples, cell
+
+
 def test_spatial_study_sweep():
     cfg = StudyConfig(
         kind="spatial",
@@ -345,6 +405,16 @@ def spatial_config(**overrides):
     )
     base.update(overrides)
     return StudyConfig(**base)
+
+
+def test_cell_lookup_refuses_an_ambiguous_key():
+    # every cell of a spatial study is ("te", law, delta); only n_modes differs
+    res = convergence_study(spatial_config())
+    assert len(res.cells) == 3
+    with pytest.raises(KeyError, match="3 cells"):
+        res.cell("te", "type1", 2.0**-3)
+    with pytest.raises(KeyError):
+        res.cell("te", "type1", 0.5)
 
 
 def test_spatial_sample_shares_the_partition():

@@ -1,5 +1,8 @@
+import pickle
+
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from allencahn.noise import NoiseSpec, NoiseStream, increment_stddev
 
@@ -146,3 +149,37 @@ def test_fine_rows_have_substep_variance():
     var_mode1 = fine[:, 0].var()
     target = 1.0 * 0.3 / 50_000
     assert var_mode1 == pytest.approx(target, rel=0.05)
+
+
+def test_reused_philox_draws_equal_fresh_generators():
+    spec = NoiseSpec("trace-class", 16, 1.0)
+    seed, path = 2**63 + 5, 77
+    stream = NoiseStream(spec, seed, path)
+    twin = NoiseStream(spec, seed, path)
+    assert stream == twin and hash(stream) == hash(twin)
+
+    def fresh(step, r):
+        key = np.array([seed, (path << 32) | step], dtype=np.uint64)
+        draw = Generator(Philox(key=key)).standard_normal((r, spec.n_modes))
+        return draw * np.sqrt(spec.mode_variances * (0.1 / r))
+
+    def same(s, step, r):
+        fine, coarse = s.increments(step, 0.1, r)
+        expected = fresh(step, r)
+        assert np.array_equal(fine, expected)
+        assert np.array_equal(coarse, expected.sum(axis=0))
+
+    for step in (5, 2, 5, 0):  # out of order, and a step drawn twice
+        same(stream, step, 3)
+    same(stream, 2, 1)  # another r: a partly used Philox buffer is reset
+    same(stream, 2, 3)
+    same(stream, 9, 2)
+
+    assert stream == twin and hash(stream) == hash(twin)
+    assert repr(stream) == repr(twin)
+    # the reused Philox stays out of the pickle, and a copy draws the same
+    assert pickle.dumps(stream) == pickle.dumps(NoiseStream(spec, seed, path))
+    copy = pickle.loads(pickle.dumps(stream))
+    assert copy == stream and hash(copy) == hash(stream)
+    for step in (9, 5, 0):
+        same(copy, step, 3)

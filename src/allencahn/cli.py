@@ -5,8 +5,9 @@ tables, `trace` records one sample path of one cell step by step, and
 `validate` runs the built-in invariant suites.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration
-error, 3 study error (divergence or runaway partition).  A run manifest
-and the resolved config are written even when the study fails midway.
+error, 3 study error (divergence or runaway partition).  A configuration
+error is raised before anything is written; once a run starts, its
+manifest and resolved config are written even when the study fails midway.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .experiments import (
     write_trace_csv,
 )
 from .noise import NoiseSpec, NoiseStream
-from .stepping import SCHEME_KINDS, integrate
+from .stepping import integrate
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -49,9 +50,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--out", metavar="DIR", default="out", help="output directory (default: out)"
     )
     p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
-    p.add_argument(
-        "--threads", type=int, metavar="N", help="worker processes (default: config)"
-    )
     p.add_argument(
         "--uncapped-fallback",
         action="store_true",
@@ -72,6 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         "convergence", help="run a temporal or spatial error study and write CSVs"
     )
     _add_common(conv)
+    conv.add_argument(
+        "--threads", type=int, metavar="N", help="worker processes (default: config)"
+    )
 
     trace = sub.add_parser(
         "trace", help="record one sample path of one (scheme, law, delta) cell"
@@ -100,7 +101,7 @@ def _resolve_config(args):
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.threads is not None:
+    if args.command == "convergence" and args.threads is not None:
         overrides["threads"] = args.threads
     if args.uncapped_fallback:
         overrides["uncapped_fallback"] = True
@@ -109,20 +110,40 @@ def _resolve_config(args):
     return cfg, source
 
 
-def cmd_convergence(args) -> int:
-    cfg, source = _resolve_config(args)
+def _run(args, cfg, source: str, work) -> int:
+    """The protocol of a run: the resolved config, the command's work, a manifest.
+
+    `work(out_dir, outputs)` writes the command's files, appending each
+    name to `outputs` once written, and returns the manifest detail.  A
+    study error is exit 3; the manifest is written whatever happens.
+    """
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
-        command="convergence",
-        config_path=source,
-        seed=cfg.seed,
-        started=time.time(),
+        command=args.command, config_path=source, seed=cfg.seed, started=time.time()
     )
     outputs = []
     (out_dir / "config_resolved.ini").write_text(render_config(cfg), encoding="utf-8")
     outputs.append("config_resolved.ini")
     try:
+        manifest.detail = work(out_dir, outputs)
+        manifest.status = "complete"
+        return 0
+    except (StudyError, RunawayPartitionError, BlowUpError) as exc:
+        manifest.status = "failed"
+        manifest.detail = str(exc)
+        print(f"study error: {exc}", file=sys.stderr)
+        return 3
+    finally:
+        manifest.outputs = tuple(outputs)
+        manifest.finished = time.time()
+        (out_dir / "manifest.txt").write_text(manifest.render(), encoding="utf-8")
+
+
+def cmd_convergence(args) -> int:
+    cfg, source = _resolve_config(args)
+
+    def work(out_dir, outputs):
         result = convergence_study(cfg)
         table = "spatial.csv" if cfg.kind == "spatial" else "errors.csv"
         write_cells_csv(out_dir / table, result)
@@ -134,22 +155,14 @@ def cmd_convergence(args) -> int:
             write_slopes_csv(out_dir / name, rows)
             outputs.append(name)
         report = result.stability
-        manifest.status = "complete"
         if report.exceeded or report.divergent_samples:
-            manifest.detail = (
+            return (
                 f"divergent_samples={report.divergent_samples} "
                 f"max_sup={report.max_sup!r} ceiling={report.ceiling!r}"
             )
-        return 0
-    except (StudyError, RunawayPartitionError, BlowUpError) as exc:
-        manifest.status = "failed"
-        manifest.detail = str(exc)
-        print(f"study error: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        manifest.outputs = tuple(outputs)
-        manifest.finished = time.time()
-        (out_dir / "manifest.txt").write_text(manifest.render(), encoding="utf-8")
+        return ""
+
+    return _run(args, cfg, source, work)
 
 
 def cmd_trace(args) -> int:
@@ -157,23 +170,17 @@ def cmd_trace(args) -> int:
     scheme_kind = args.scheme or cfg.schemes[0]
     law_token = args.law or cfg.laws[0]
     delta = parse_delta_token(args.delta) if args.delta else cfg.deltas[0]
-    if scheme_kind not in SCHEME_KINDS:
-        raise ConfigError(f"unknown scheme {scheme_kind!r}")
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command="trace", config_path=source, seed=cfg.seed, started=time.time()
-    )
-    outputs = []
-    (out_dir / "config_resolved.ini").write_text(render_config(cfg), encoding="utf-8")
-    outputs.append("config_resolved.ini")
+    # The cell must be one the config's own study could run.
+    dataclasses.replace(cfg, schemes=(scheme_kind,), laws=(law_token,), deltas=(delta,))
+    spec = NoiseSpec(cfg.noise_kind, cfg.n_modes, cfg.noise_scale)
     try:
-        scheme = make_scheme(cfg, scheme_kind, law_token, delta)
-        spec = NoiseSpec(cfg.noise_kind, cfg.n_modes, cfg.noise_scale, cfg.regularity)
         stream = NoiseStream(spec, cfg.seed, args.path)
+    except ValueError as exc:
+        raise ConfigError(f"--path {args.path}: {exc}") from exc
+
+    def work(out_dir, outputs):
         result = integrate(
-            scheme,
+            make_scheme(cfg, scheme_kind, law_token, delta),
             initial_state(cfg.initial, cfg.n_modes),
             cfg.horizon,
             stream,
@@ -184,18 +191,9 @@ def cmd_trace(args) -> int:
         )
         write_trace_csv(out_dir / "trace.csv", result.records, args.path)
         outputs.append("trace.csv")
-        manifest.status = "complete"
-        manifest.detail = f"cell=({scheme_kind}, {law_token}, {delta!r}) steps={result.summary.steps}"
-        return 0
-    except (StudyError, RunawayPartitionError, BlowUpError) as exc:
-        manifest.status = "failed"
-        manifest.detail = str(exc)
-        print(f"study error: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        manifest.outputs = tuple(outputs)
-        manifest.finished = time.time()
-        (out_dir / "manifest.txt").write_text(manifest.render(), encoding="utf-8")
+        return f"cell=({scheme_kind}, {law_token}, {delta!r}) steps={result.summary.steps}"
+
+    return _run(args, cfg, source, work)
 
 
 def cmd_validate(_args) -> int:

@@ -19,46 +19,41 @@ from importlib import resources
 from .errors import ConfigError
 from .experiments import StudyConfig
 
-_STUDY_KEYS = {
-    "kind": str,
-    "schemes": "list",
-    "laws": "list",
-    "deltas": "deltas",
-    "samples": int,
-    "seed": int,
-    "n_modes": int,
-    "horizon": float,
-    "refinement": int,
-    "initial": str,
-    "threads": int,
-    "step_ceiling": int,
-    "stability_ceiling": float,
-    "spatial_modes": "intlist",
-    "spatial_reference": int,
-}
-_NOISE_KEYS = {"kind": str, "scale": float, "regularity": float}
-_DRIFT_KEYS = {"a3": float, "a2": float, "a1": float, "a0": float}
-_LAW_KEYS = {
-    "phi": float,
-    "zeta": float,
-    "xi": float,
-    "q0": float,
-    "tau_min": float,
-    "uncapped_fallback": bool,
-    "projected_drift_norm": bool,
-}
-_SECTIONS = {
-    "study": _STUDY_KEYS,
-    "noise": _NOISE_KEYS,
-    "drift": _DRIFT_KEYS,
-    "laws": _LAW_KEYS,
-}
+# (section, key, StudyConfig field, kind), in rendering order.  Each key
+# is declared here alone; parse_config and render_config both walk it.
+_KEYS = (
+    ("study", "kind", "kind", "str"),
+    ("study", "schemes", "schemes", "list"),
+    ("study", "laws", "laws", "list"),
+    ("study", "deltas", "deltas", "deltas"),
+    ("study", "samples", "samples", "int"),
+    ("study", "seed", "seed", "int"),
+    ("study", "n_modes", "n_modes", "int"),
+    ("study", "horizon", "horizon", "float"),
+    ("study", "refinement", "refinement", "int"),
+    ("study", "initial", "initial", "str"),
+    ("study", "threads", "threads", "int"),
+    ("study", "step_ceiling", "step_ceiling", "int"),
+    ("study", "stability_ceiling", "stability_ceiling", "float"),
+    ("study", "spatial_modes", "spatial_modes", "intlist"),
+    ("study", "spatial_reference", "spatial_reference", "int"),
+    ("noise", "kind", "noise_kind", "str"),
+    ("noise", "scale", "noise_scale", "float"),
+    ("drift", "a3", "a3", "float"),
+    ("drift", "a2", "a2", "float"),
+    ("drift", "a1", "a1", "float"),
+    ("drift", "a0", "a0", "float"),
+    ("laws", "phi", "phi", "float"),
+    ("laws", "zeta", "zeta", "float"),
+    ("laws", "xi", "xi", "float"),
+    ("laws", "q0", "q0", "float"),
+    ("laws", "tau_min", "tau_min", "float"),
+    ("laws", "uncapped_fallback", "uncapped_fallback", "bool"),
+    ("laws", "projected_drift_norm", "projected_drift_norm", "bool"),
+)
 
-# config key -> StudyConfig field, where the names differ
-_FIELD_NAME = {
-    ("noise", "kind"): "noise_kind",
-    ("noise", "scale"): "noise_scale",
-}
+# Left out of the rendering while unset, so a temporal config reads as one.
+_SPATIAL_FIELDS = ("spatial_modes", "spatial_reference")
 
 PRESETS = (
     "full-trace-class",
@@ -89,30 +84,38 @@ def _split(text: str) -> list[str]:
     return [t for t in text.replace(",", " ").split() if t]
 
 
-def _coerce(section: str, key: str, text: str, kind):
-    text = text.strip()
-    try:
-        if kind is bool:
-            if text.lower() in ("1", "true", "yes", "on"):
-                return True
-            if text.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(text)
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        if kind == "deltas":
-            return tuple(parse_delta_token(t) for t in _split(text))
-        if kind == "intlist":
-            return tuple(int(t) for t in _split(text))
-        if kind == "list":
-            return tuple(_split(text))
-        return text
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {text!r}") from exc
+def _delta_repr(d: float) -> str:
+    exp = math.log2(d)
+    if exp == int(exp):
+        return f"2^{int(exp)}"
+    return repr(d)
+
+
+def _read_bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+# kind -> (read, write): read turns the INI text into the field value,
+# write turns the value back into text that read maps to an equal value.
+_KINDS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, repr),
+    "bool": (_read_bool, lambda v: str(v).lower()),
+    "list": (lambda t: tuple(_split(t)), ", ".join),
+    "intlist": (
+        lambda t: tuple(int(x) for x in _split(t)),
+        lambda v: ", ".join(str(n) for n in v),
+    ),
+    "deltas": (
+        lambda t: tuple(parse_delta_token(x) for x in _split(t)),
+        lambda v: ", ".join(_delta_repr(d) for d in v),
+    ),
+}
 
 
 def parse_config(text: str, source: str = "<string>") -> StudyConfig:
@@ -122,25 +125,29 @@ def parse_config(text: str, source: str = "<string>") -> StudyConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
-    unknown = []
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            unknown.append(f"[{section}]")
-            continue
-        known = _SECTIONS[section]
-        unknown.extend(
-            f"[{section}] {key}" for key in parser[section] if key not in known
-        )
+    given = {
+        (section, key): value.strip()
+        for section in parser.sections()
+        for key, value in parser.items(section, raw=True)
+    }
+    sections = {section for section, *_ in _KEYS}
+    known = {(section, key) for section, key, *_ in _KEYS}
+    unknown = [f"[{s}]" for s in parser.sections() if s not in sections]
+    unknown += [f"[{s}] {k}" for s, k in given if s in sections and (s, k) not in known]
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     fields = {}
-    for section, keys in _SECTIONS.items():
-        if not parser.has_section(section):
+    for section, key, field, kind in _KEYS:
+        raw = given.get((section, key))
+        if raw is None:
             continue
-        for key, raw in parser[section].items():
-            name = _FIELD_NAME.get((section, key), key)
-            fields[name] = _coerce(section, key, raw, keys[key])
+        try:
+            fields[field] = _KINDS[kind][0](raw)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
     if "deltas" not in fields:
         raise ConfigError(f"{source}: missing required key [study] deltas")
     return StudyConfig(**fields)
@@ -155,63 +162,16 @@ def load_config(path) -> StudyConfig:
     return parse_config(text, source=str(path))
 
 
-def _delta_repr(d: float) -> str:
-    exp = math.log2(d)
-    if exp == int(exp):
-        return f"2^{int(exp)}"
-    return repr(d)
-
-
 def render_config(cfg: StudyConfig) -> str:
     """Fully resolved INI text; parse_config(render_config(cfg)) == cfg."""
-    lines = [
-        "[study]",
-        f"kind = {cfg.kind}",
-        f"schemes = {', '.join(cfg.schemes)}",
-        f"laws = {', '.join(cfg.laws)}",
-        f"deltas = {', '.join(_delta_repr(d) for d in cfg.deltas)}",
-        f"samples = {cfg.samples}",
-        f"seed = {cfg.seed}",
-        f"n_modes = {cfg.n_modes}",
-        f"horizon = {repr(cfg.horizon)}",
-        f"refinement = {cfg.refinement}",
-        f"initial = {cfg.initial}",
-        f"threads = {cfg.threads}",
-        f"step_ceiling = {cfg.step_ceiling}",
-        f"stability_ceiling = {repr(cfg.stability_ceiling)}",
-    ]
-    if cfg.spatial_modes:
-        lines.append(
-            "spatial_modes = " + ", ".join(str(n) for n in cfg.spatial_modes)
-        )
-        lines.append(f"spatial_reference = {cfg.spatial_reference}")
-    lines += [
-        "",
-        "[noise]",
-        f"kind = {cfg.noise_kind}",
-        f"scale = {repr(cfg.noise_scale)}",
-    ]
-    if cfg.regularity is not None:
-        lines.append(f"regularity = {repr(cfg.regularity)}")
-    lines += [
-        "",
-        "[drift]",
-        f"a3 = {repr(cfg.a3)}",
-        f"a2 = {repr(cfg.a2)}",
-        f"a1 = {repr(cfg.a1)}",
-        f"a0 = {repr(cfg.a0)}",
-        "",
-        "[laws]",
-        f"phi = {repr(cfg.phi)}",
-        f"zeta = {repr(cfg.zeta)}",
-        f"xi = {repr(cfg.xi)}",
-        f"q0 = {repr(cfg.q0)}",
-        f"tau_min = {repr(cfg.tau_min)}",
-        f"uncapped_fallback = {str(cfg.uncapped_fallback).lower()}",
-        f"projected_drift_norm = {str(cfg.projected_drift_norm).lower()}",
-        "",
-    ]
-    return "\n".join(lines)
+    blocks: dict[str, list[str]] = {}
+    for section, key, field, kind in _KEYS:
+        value = getattr(cfg, field)
+        if field in _SPATIAL_FIELDS and not value:
+            continue
+        block = blocks.setdefault(section, [f"[{section}]"])
+        block.append(f"{key} = {_KINDS[kind][1](value)}")
+    return "\n\n".join("\n".join(block) for block in blocks.values()) + "\n"
 
 
 def load_preset(name: str) -> StudyConfig:

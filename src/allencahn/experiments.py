@@ -44,7 +44,6 @@ class StudyConfig:
     kind: str = "temporal"
     noise_kind: str = TRACE_CLASS
     noise_scale: float = 1.0
-    regularity: float | None = None
     a3: float = -1.0
     a2: float = 0.0
     a1: float = 1.0
@@ -105,6 +104,25 @@ class StudyConfig:
                 raise ConfigError(
                     "spatial study runs the te scheme alone, under exactly one law"
                 )
+        elif self.refinement < 2:
+            raise ConfigError("a temporal study needs refinement >= 2 for its reference")
+        # The objects a study builds from these values own their checks;
+        # building each once here rejects a bad value before any run starts.
+        try:
+            self.drift
+            spec = NoiseSpec(self.noise_kind, self.n_modes, self.noise_scale)
+            NoiseStream(spec, self.seed, 0)
+            TimestepLaw(
+                "au1", self.deltas[0], self.horizon, self.phi, self.zeta,
+                self.xi, self.q0, self.tau_min,
+            )
+            fewest = self.spatial_modes[0] if self.kind == "spatial" else self.n_modes
+            initial_state(self.initial, fewest)
+            for scheme_kind in self.schemes:
+                for token in self.laws:
+                    resolve_family(token, scheme_kind)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def drift(self) -> CubicDrift:
@@ -197,7 +215,7 @@ class SampleOutcome:
 
 
 def _stream(cfg: StudyConfig, path: int, modes: int) -> NoiseStream:
-    spec = NoiseSpec(cfg.noise_kind, modes, cfg.noise_scale, cfg.regularity)
+    spec = NoiseSpec(cfg.noise_kind, modes, cfg.noise_scale)
     return NoiseStream(spec, cfg.seed, path)
 
 
@@ -299,8 +317,6 @@ def coupled_error_sample(
         return _spatial_sample(cfg, scheme, stream, n, reference)
     if reference_modes is not None:
         raise ValueError("reference_modes applies to spatial samples only")
-    if cfg.refinement < 2:
-        raise ValueError("error samples need refinement >= 2 for a reference")
     res = _run_path(
         cfg, scheme, _stream(cfg, path, n), n, refinement=cfg.refinement
     )
@@ -532,9 +548,6 @@ def _temporal_cells(
     its uniform step to the realized mean adaptive step count; every te
     path runs in a second.  Sample s at delta level i is path i * samples + s.
     """
-    if cfg.refinement < 2:
-        raise ConfigError("error studies need refinement >= 2")
-
     def wave(keys):
         """The cells of `keys` = (scheme, law, delta level, delta, te_h), by key."""
         args = [

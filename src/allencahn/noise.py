@@ -26,13 +26,12 @@ class NoiseSpec:
     """Covariance model: Q e_i = q_i e_i with q_i = i^-2 (trace-class) or 1 (white).
 
     `scale` multiplies the increment standard deviation (0 switches the noise
-    off); `regularity` is reporting metadata only and never enters a draw.
+    off).
     """
 
     kind: str
     n_modes: int
     scale: float = 1.0
-    regularity: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -41,10 +40,6 @@ class NoiseSpec:
             raise ValueError("need at least one noise mode")
         if self.scale < 0:
             raise ValueError("noise scale must be nonnegative")
-        if self.regularity is None:
-            object.__setattr__(
-                self, "regularity", 1.0 if self.kind == TRACE_CLASS else 0.25
-            )
 
     @cached_property
     def mode_variances(self) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 
 from allencahn.cli import main
 from allencahn.config import (
+    _KEYS,
     PRESETS,
     RunManifest,
     load_config,
@@ -66,6 +67,50 @@ def test_render_parse_round_trip_temporal():
 
 def test_render_parse_round_trip_spatial():
     cfg = spatial_cfg()
+    assert parse_config(render_config(cfg)) == cfg
+
+
+def test_key_table_names_every_field_once():
+    assert sorted(field for _, _, field, _ in _KEYS) == sorted(
+        f.name for f in dataclasses.fields(StudyConfig)
+    )
+    assert len({(section, key) for section, key, *_ in _KEYS}) == len(_KEYS)
+
+
+def test_every_field_round_trips():
+    cfg = StudyConfig(
+        deltas=(2.0**-6,),
+        schemes=("te",),
+        laws=("type2",),
+        kind="spatial",
+        noise_kind="white",
+        noise_scale=0.5,
+        a3=-2.0,
+        a2=0.5,
+        a1=-1.5,
+        a0=0.25,
+        n_modes=24,
+        horizon=2.5,
+        samples=7,
+        seed=2**64 - 1,
+        refinement=4,
+        initial="e3*0.5",
+        phi=2.0,
+        zeta=3.0,
+        xi=7.0,
+        q0=2.0,
+        tau_min=0.05,
+        uncapped_fallback=True,
+        projected_drift_norm=True,
+        step_ceiling=1234,
+        stability_ceiling=50.0,
+        threads=3,
+        spatial_modes=(8, 16),
+        spatial_reference=32,
+    )
+    defaults = StudyConfig(deltas=(1.0,))
+    for f in dataclasses.fields(StudyConfig):
+        assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
     assert parse_config(render_config(cfg)) == cfg
 
 
@@ -212,6 +257,31 @@ def test_cli_missing_config_file(tmp_path, capsys):
     missing = tmp_path / "absent.ini"
     assert run_cli("convergence", "--config", str(missing), "--out", str(tmp_path)) == 2
     assert "absent.ini" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("kind = trace-class", "kind = pink"),
+        ("scale = 1.0", "scale = -1.0"),
+        ("a3 = -1.0", "a3 = 1.0"),
+        ("tau_min = 0.2", "tau_min = 0"),
+        ("horizon = 1.0", "horizon = 0"),
+        ("n_modes = 16", "n_modes = 0"),
+        ("refinement = 3", "refinement = 1"),
+        ("seed = 0", "seed = -1"),
+        ("initial = e1", "initial = e17"),
+    ],
+)
+def test_cli_rejects_bad_value_before_writing(tmp_path, capsys, line, bad):
+    text = render_config(load_preset("smoke"))
+    assert text.count(f"\n{line}\n") == 1
+    cfg_file = tmp_path / "bad.ini"
+    cfg_file.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--config", str(cfg_file), "--out", str(out)) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_validate(capsys):
@@ -397,6 +467,26 @@ def test_cli_trace_rejects_unknown_scheme(tmp_path, capsys):
         == 2
     )
     assert "euler" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, cell",
+    [
+        ("smoke", ["--scheme", "ateu", "--law", "bogus"]),
+        ("smoke", ["--scheme", "ateu", "--law", "type7"]),
+        ("smoke", ["--scheme", "atea", "--law", "type4"]),
+        ("smoke", ["--scheme", "ateu", "--delta", "2"]),
+        ("smoke", ["--scheme", "ateu", "--delta", "0"]),
+        ("smoke", ["--scheme", "ateu", "--path", "-1"]),
+        ("smoke", ["--scheme", "ateu", "--path", str(2**32)]),
+        ("spatial-desk", ["--scheme", "ateu"]),
+    ],
+)
+def test_cli_trace_rejects_bad_cell_before_writing(tmp_path, capsys, preset, cell):
+    out = tmp_path / "out"
+    assert run_cli("trace", "--preset", preset, *cell, "--out", str(out)) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_script_entry_point():

@@ -216,9 +216,10 @@ def test_coupled_error_sample_is_deterministic():
 
 
 def test_coupled_error_sample_needs_refinement():
-    cfg = small_config(refinement=1)
-    with pytest.raises(ValueError):
-        coupled_error_sample(cfg, "te", "type1", 0.25, path=0)
+    # A temporal sample needs an r-fold reference; r < 2 is refused when
+    # the config is built, before any sample can run.
+    with pytest.raises(ConfigError):
+        small_config(refinement=1)
 
 
 def test_coupled_error_sample_reports_divergence():

@@ -16,12 +16,6 @@ def test_spec_validation():
         NoiseSpec("white", 4, scale=-1.0)
 
 
-def test_spec_default_regularity():
-    assert NoiseSpec("trace-class", 4).regularity == 1.0
-    assert NoiseSpec("white", 4).regularity == 0.25
-    assert NoiseSpec("white", 4, regularity=0.4).regularity == 0.4
-
-
 def test_mode_variances():
     tc = NoiseSpec("trace-class", 4)
     assert np.allclose(tc.mode_variances, [1.0, 0.25, 1.0 / 9.0, 1.0 / 16.0])

@@ -41,6 +41,7 @@ from .stepping import (
     TimestepLaw,
     compute_timestep,
     integrate,
+    integrate_group,
 )
 from .validation import run_validation
 
@@ -75,6 +76,7 @@ __all__ = [
     "initial_state",
     "inner_product_x_f",
     "integrate",
+    "integrate_group",
     "l2_norm",
     "load_config",
     "load_preset",

@@ -172,7 +172,11 @@ def cmd_trace(args) -> int:
     delta = parse_delta_token(args.delta) if args.delta else cfg.deltas[0]
     # The cell must be one the config's own study could run.
     dataclasses.replace(cfg, schemes=(scheme_kind,), laws=(law_token,), deltas=(delta,))
-    spec = NoiseSpec(cfg.noise_kind, cfg.n_modes, cfg.noise_scale)
+    # A spatial study's traceable path is its reference: spatial_reference
+    # modes under the exact-convolution noise form, on sample path --path.
+    spatial = cfg.kind == "spatial"
+    n = cfg.spatial_reference if spatial else cfg.n_modes
+    spec = NoiseSpec(cfg.noise_kind, n, cfg.noise_scale)
     try:
         stream = NoiseStream(spec, cfg.seed, args.path)
     except ValueError as exc:
@@ -181,13 +185,14 @@ def cmd_trace(args) -> int:
     def work(out_dir, outputs):
         result = integrate(
             make_scheme(cfg, scheme_kind, law_token, delta),
-            initial_state(cfg.initial, cfg.n_modes),
+            initial_state(cfg.initial, n),
             cfg.horizon,
             stream,
             cfg.drift,
             step_ceiling=cfg.step_ceiling,
             collect_records=True,
             projected_drift_norm=cfg.projected_drift_norm,
+            exact_convolution=spatial,
         )
         write_trace_csv(out_dir / "trace.csv", result.records, args.path)
         outputs.append("trace.csv")

@@ -28,7 +28,14 @@ from .drift import CubicDrift
 from .errors import BlowUpError, ConfigError, StudyError
 from .noise import TRACE_CLASS, NoiseSpec, NoiseStream
 from .spectral import SpectralField
-from .stepping import FAMILIES, SCHEME_KINDS, Scheme, TimestepLaw, integrate
+from .stepping import (
+    FAMILIES,
+    SCHEME_KINDS,
+    Scheme,
+    TimestepLaw,
+    integrate,
+    integrate_group,
+)
 
 TYPE_TOKENS = tuple(f"type{i}" for i in range(1, 7))
 LAW_TOKENS = TYPE_TOKENS + FAMILIES
@@ -212,6 +219,9 @@ class SampleOutcome:
     max_l2: float = 0.0
     max_sup: float = 0.0
     max_bound_expr: float = 0.0
+    adaptive_steps: int = 0
+    fallback_steps: int = 0
+    clamp_steps: int = 0
 
 
 def _stream(cfg: StudyConfig, path: int, modes: int) -> NoiseStream:
@@ -263,6 +273,9 @@ def _outcome(coarse, reference) -> SampleOutcome:
         max_l2=s.max_l2,
         max_sup=s.max_sup,
         max_bound_expr=s.max_bound_expr,
+        adaptive_steps=s.adaptive_steps,
+        fallback_steps=s.fallback_steps,
+        clamp_steps=s.clamp_steps,
     )
 
 
@@ -324,8 +337,33 @@ def coupled_error_sample(
     return _outcome(res, ref)
 
 
-def _temporal_sample(cfg, scheme_kind, law_token, delta, path, te_h) -> SampleOutcome:
-    return coupled_error_sample(cfg, scheme_kind, law_token, delta, path, te_h=te_h)
+def _adaptive_outcomes(cfg, variants, delta, path) -> list[SampleOutcome]:
+    """Outcomes of every adaptive (scheme, law) variant at `delta` on one path.
+
+    The variants run as one `integrate_group`, so steps they share are
+    taken once; each outcome equals the variant's `coupled_error_sample`.
+    """
+    n = cfg.n_modes
+    runs = integrate_group(
+        [make_scheme(cfg, kind, token, delta) for kind, token in variants],
+        initial_state(cfg.initial, n),
+        cfg.horizon,
+        _stream(cfg, path, n),
+        cfg.drift,
+        refinement=cfg.refinement,
+        step_ceiling=cfg.step_ceiling,
+        projected_drift_norm=cfg.projected_drift_norm,
+    )
+    return [
+        _outcome(run.time, None) if isinstance(run, BlowUpError)
+        else _outcome(run, run.reference_final.coeffs)
+        for run in runs
+    ]
+
+
+def _te_outcome(cfg, delta, te_h, path) -> SampleOutcome:
+    """The te sample at uniform step te_h; no law enters a te path."""
+    return coupled_error_sample(cfg, "te", cfg.laws[0], delta, path, te_h=te_h)
 
 
 def rms_error(errors) -> float:
@@ -387,6 +425,18 @@ class CellResult:
     @property
     def max_sup(self) -> float:
         return max((o.max_sup for o in self.outcomes), default=0.0)
+
+    @property
+    def adaptive_steps(self) -> int:
+        return sum(o.adaptive_steps for o in self.outcomes)
+
+    @property
+    def fallback_steps(self) -> int:
+        return sum(o.fallback_steps for o in self.outcomes)
+
+    @property
+    def clamp_steps(self) -> int:
+        return sum(o.clamp_steps for o in self.outcomes)
 
 
 @dataclass(frozen=True)
@@ -483,41 +533,33 @@ def _map(pool: ProcessPoolExecutor | None, task, args) -> list:
     return list(pool.map(partial(_timed, task), *zip(*args), chunksize=4))
 
 
-def _cells(keys, timed, samples: int) -> list[CellResult]:
-    """Split a wave's (outcome, CPU seconds) list into cells, in `keys` order.
-
-    Each key (scheme, law token, delta, te_h, n_modes) owns the next
-    `samples` entries; its cpu_seconds is the sum of their CPU seconds.
-    """
-    cells = []
-    for k, (scheme_kind, law_token, delta, te_h, n_modes) in enumerate(keys):
-        block = timed[k * samples : (k + 1) * samples]
-        outcomes = [o for o, _ in block]
-        errors = [o.error for o in outcomes if not o.diverged]
-        if not errors:
-            raise StudyError(
-                f"every sample diverged in cell ({scheme_kind}, {law_token}, {delta})"
-            )
-        counted = [o.steps for o in outcomes if not o.diverged]
-        family = None
-        if scheme_kind != "te":
-            family = resolve_family(law_token, scheme_kind)
-        cells.append(
-            CellResult(
-                scheme=scheme_kind,
-                law=law_token,
-                family=family,
-                delta=delta,
-                rms=rms_error(errors),
-                mean_steps=float(np.mean(counted)),
-                cpu_seconds=math.fsum(cpu for _, cpu in block),
-                divergent=sum(o.diverged for o in outcomes),
-                te_h=te_h,
-                outcomes=tuple(outcomes),
-                n_modes=n_modes,
-            )
+def _cell(key, block) -> CellResult:
+    """The cell of key (scheme, law token, delta, te_h, n_modes) from its
+    samples' (outcome, CPU seconds) pairs; cpu_seconds is their sum."""
+    scheme_kind, law_token, delta, te_h, n_modes = key
+    outcomes = [o for o, _ in block]
+    errors = [o.error for o in outcomes if not o.diverged]
+    if not errors:
+        raise StudyError(
+            f"every sample diverged in cell ({scheme_kind}, {law_token}, {delta})"
         )
-    return cells
+    counted = [o.steps for o in outcomes if not o.diverged]
+    family = None
+    if scheme_kind != "te":
+        family = resolve_family(law_token, scheme_kind)
+    return CellResult(
+        scheme=scheme_kind,
+        law=law_token,
+        family=family,
+        delta=delta,
+        rms=rms_error(errors),
+        mean_steps=float(np.mean(counted)),
+        cpu_seconds=math.fsum(cpu for _, cpu in block),
+        divergent=sum(o.diverged for o in outcomes),
+        te_h=te_h,
+        outcomes=tuple(outcomes),
+        n_modes=n_modes,
+    )
 
 
 def _average_ranks(x) -> np.ndarray:
@@ -544,49 +586,72 @@ def _temporal_cells(
 ) -> list[CellResult]:
     """The (scheme, law, delta) grid, in scheme, law, delta order.
 
-    Every adaptive path runs in a first wave, so the te baseline can match
-    its uniform step to the realized mean adaptive step count; every te
-    path runs in a second.  Sample s at delta level i is path i * samples + s.
+    Sample s at delta level i is path i * samples + s.  A first map runs
+    one task per (level, sample): every adaptive (scheme, law) variant of
+    the level as one group on that path (see `_adaptive_outcomes`).  The te
+    baseline matches its uniform step to the realized mean adaptive step
+    count, so a second map runs the te paths, once per distinct (level,
+    te_h, sample): te cells of a level with equal te_h share those
+    outcomes.  A task's CPU seconds are split equally among the cells it
+    serves, so the cells' cpu_seconds sum to the tasks' CPU seconds.
     """
-    def wave(keys):
-        """The cells of `keys` = (scheme, law, delta level, delta, te_h), by key."""
-        args = [
-            (cfg, scheme_kind, law_token, delta, i * cfg.samples + s, te_h)
-            for scheme_kind, law_token, i, delta, te_h in keys
-            for s in range(cfg.samples)
-        ]
-        timed = _map(pool, _temporal_sample, args)
-        cells = _cells(
-            [(sk, lt, d, te_h, cfg.n_modes) for sk, lt, _, d, te_h in keys],
-            timed,
-            cfg.samples,
+    samples = cfg.samples
+    cells: dict[tuple[str, str, float], CellResult] = {}
+
+    def wave(task, jobs):
+        """Adds the cells of jobs (cell keys, delta level i, task args).
+
+        A job runs task(cfg, *args, path) on every path of level i; each
+        run gives one outcome per key, or one outcome shared by all keys.
+        """
+        timed = _map(
+            pool,
+            task,
+            [(cfg, *a, i * samples + s) for _, i, a in jobs for s in range(samples)],
         )
-        return {(c.scheme, c.law, c.delta): c for c in cells}
+        for j, (keys, _, _) in enumerate(jobs):
+            blocks = [[] for _ in keys]
+            for outs, cpu in timed[j * samples : (j + 1) * samples]:
+                if isinstance(outs, SampleOutcome):
+                    outs = [outs] * len(keys)
+                for block, out in zip(blocks, outs):
+                    block.append((out, cpu / len(keys)))
+            for key, block in zip(keys, blocks):
+                cells[key[:3]] = _cell(key, block)
 
     levels = list(enumerate(cfg.deltas))
-    results = wave(
-        [
-            (scheme_kind, law_token, i, delta, None)
-            for scheme_kind in cfg.schemes
-            if scheme_kind != "te"
-            for law_token in cfg.laws
-            for i, delta in levels
-        ]
-    )
+    variants = [(sk, lt) for sk in cfg.schemes if sk != "te" for lt in cfg.laws]
+    if variants:
+        wave(
+            _adaptive_outcomes,
+            [
+                (
+                    [(sk, lt, delta, None, cfg.n_modes) for sk, lt in variants],
+                    i,
+                    (variants, delta),
+                )
+                for i, delta in levels
+            ],
+        )
     if "te" in cfg.schemes:
-        te_keys = []
+        shared: dict[tuple[int, float], list] = {}
         for law_token in cfg.laws:
             for i, delta in levels:
                 te_h = delta * cfg.horizon
                 for preferred in ("ateu", "atea", "ae"):
                     key = (preferred, law_token, delta)
-                    if key in results:
-                        te_h = cfg.horizon / results[key].mean_steps
+                    if key in cells:
+                        te_h = cfg.horizon / cells[key].mean_steps
                         break
-                te_keys.append(("te", law_token, i, delta, te_h))
-        results.update(wave(te_keys))
+                shared.setdefault((i, te_h), []).append(
+                    ("te", law_token, delta, te_h, cfg.n_modes)
+                )
+        wave(
+            _te_outcome,
+            [(keys, i, (cfg.deltas[i], te_h)) for (i, te_h), keys in shared.items()],
+        )
     return [
-        results[(s, l, d)]
+        cells[(s, l, d)]
         for s in cfg.schemes
         for l in cfg.laws
         for d in cfg.deltas
@@ -632,8 +697,11 @@ def _spatial_cells(
             for st, ref in zip(streams, references)
         ],
     )
-    keys = [("te", law_token, delta, te_h, n) for n in cfg.spatial_modes]
-    return _cells(keys, timed, cfg.samples)
+    samples = cfg.samples
+    return [
+        _cell(("te", law_token, delta, te_h, n), timed[k * samples : (k + 1) * samples])
+        for k, n in enumerate(cfg.spatial_modes)
+    ]
 
 
 def convergence_study(cfg: StudyConfig) -> StudyResult:

@@ -206,6 +206,13 @@ def _lp_from_values(values: np.ndarray, m: int, p: int) -> float:
     return float(((values**p).sum() / (m + 1)) ** (1.0 / p))
 
 
+def _l4_l6(coeffs: np.ndarray) -> tuple[float, float]:
+    """The L4 and L6 norms of the state, for the aa laws."""
+    m = 2 * coeffs.size
+    vals = coeffs_to_values(coeffs, m)
+    return _lp_from_values(vals, m, 4), _lp_from_values(vals, m, 6)
+
+
 def compute_timestep(
     law: TimestepLaw, coeffs: np.ndarray, l2: float, drift_norm: float
 ) -> float:
@@ -217,10 +224,7 @@ def compute_timestep(
     """
     if not law.needs_lp_norms:
         return law.value(l2, drift_norm)
-    m = 2 * coeffs.size
-    vals = coeffs_to_values(coeffs, m)
-    l4, l6 = _lp_from_values(vals, m, 4), _lp_from_values(vals, m, 6)
-    return law.value(l2, drift_norm, l4, l6)
+    return law.value(l2, drift_norm, *_l4_l6(coeffs))
 
 
 def _select_branch(
@@ -304,6 +308,58 @@ def integrate(
     The last step is clamped so the partition ends exactly at the horizon;
     clamped steps are tagged final-clamp and excluded from the low-bound
     bookkeeping in the summary.
+
+    This is the one-scheme call of `integrate_group`; a blow-up raises
+    `BlowUpError`.
+    """
+    (result,) = integrate_group(
+        [scheme],
+        initial,
+        horizon,
+        stream,
+        drift,
+        refinement=refinement,
+        step_ceiling=step_ceiling,
+        collect_records=collect_records,
+        projected_drift_norm=projected_drift_norm,
+        exact_convolution=exact_convolution,
+    )
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
+
+
+def integrate_group(
+    schemes,
+    initial: SpectralField,
+    horizon: float,
+    stream: NoiseStream,
+    drift: CubicDrift,
+    *,
+    refinement: int = 1,
+    step_ceiling: int = 10_000_000,
+    collect_records: bool = False,
+    projected_drift_norm: bool = False,
+    exact_convolution: bool = False,
+) -> list[IntegrationResult | BlowUpError]:
+    """`integrate` of every scheme on one sample path, sharing equal steps.
+
+    Returns one entry per scheme, in order: its `IntegrationResult`, or the
+    `BlowUpError` its own `integrate` call would raise.  Each entry equals
+    that call's result bit for bit.
+
+    Schemes that have taken the same steps share one state (coarse and
+    reference coefficients, time, step ordinal).  Each step of such a
+    group evaluates the drift, the L2 norm and, when a member's law needs
+    them, the L4/L6 norms once; each member then picks its own branch,
+    step length and final clamp.  Members that move alike, by (step
+    length, tamed update, final step), take that step together: one
+    increment draw, one coarse update and r reference substeps.  A group
+    whose members move differently splits, and the parts never meet
+    again.  Every member keeps its own summary and records.
+
+    A member whose partition runs away (see `integrate`) raises
+    `RunawayPartitionError` for the whole group.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -314,90 +370,106 @@ def integrate(
     n = initial.n_modes
     if stream.spec.n_modes < n:
         raise ValueError("noise stream carries fewer modes than the state")
-    law = scheme.law
     track_reference = refinement > 1
 
     lam = eigenvalues(n)
     m_grid = fast_dealias_size(n)
-    x = xr = initial.coeffs
 
-    summary = TrajectorySummary()
-    records: list[StepRecord] | None = [] if collect_records else None
-    t = 0.0
-    final = False
-    step_tau = None  # the tau that decay, decay_ref, sub and weight belong to
+    def factors(tau):
+        """(tau, decay, noise weight, reference decay) of a step of length tau."""
+        weight = None
+        if exact_convolution:
+            two_lam_tau = 2.0 * tau * lam
+            weight = np.sqrt(-np.expm1(-two_lam_tau) / two_lam_tau)
+        decay_ref = np.exp(-(tau / refinement) * lam) if track_reference else None
+        return tau, np.exp(-tau * lam), weight, decay_ref
 
-    while t < horizon:
-        if summary.steps >= step_ceiling:
-            raise RunawayPartitionError(summary.steps, t)
+    results: list = [None] * len(schemes)
+    members = [
+        (k, scheme, TrajectorySummary(), [] if collect_records else None)
+        for k, scheme in enumerate(schemes)
+    ]
+    # A live group: (members, x, xr, t, step ordinal, factors of its last step).
+    live = [(members, initial.coeffs, initial.coeffs, 0.0, 0, (None,))]
+    while live:
+        members, x, xr, t, steps, last = live.pop()
+        if steps >= step_ceiling:
+            raise RunawayPartitionError(steps, t)
 
         ev = evaluate_drift(drift, x, m_grid)
         drift_norm = ev.projected_norm if projected_drift_norm else ev.image_norm
         l2 = math.sqrt(np.dot(x, x))
+        lp = ()  # the L4/L6 norms, once a member's law needs them
 
-        if scheme.kind == "te":
-            branch, tau, use_tamed = FALLBACK, scheme.h, True
-        else:
-            tau_m = compute_timestep(law, x, l2, drift_norm)
-            branch, tau, use_tamed = _select_branch(scheme, tau_m, l2)
+        moves: dict[tuple[float, bool, bool], list] = {}
+        for member in members:
+            _, scheme, summary, records = member
+            law = scheme.law
+            if scheme.kind == "te":
+                branch, tau, use_tamed = FALLBACK, scheme.h, True
+            else:
+                if not lp and law.needs_lp_norms:
+                    lp = _l4_l6(x)
+                tau_m = law.value(l2, drift_norm, *lp)
+                branch, tau, use_tamed = _select_branch(scheme, tau_m, l2)
 
-        if tau <= 0 or t + tau == t:
-            raise RunawayPartitionError(summary.steps, t)
+            if tau <= 0 or t + tau == t:
+                raise RunawayPartitionError(steps, t)
 
-        if t + tau >= horizon:
-            final = True
-            remaining = horizon - t
-            if remaining != tau:
-                tau = remaining
+            final = t + tau >= horizon
+            if final and horizon - t != tau:
+                tau = horizon - t
                 branch = CLAMP
-        # else: interior step, keep the branch's length
+            moves.setdefault((tau, use_tamed, final), []).append(member)
 
-        fine, coarse = stream.increments(summary.steps, tau, refinement)
+            if records is not None:
+                records.append(StepRecord(t, tau, branch, l2, ev.state_sup, drift_norm))
+            summary.steps += 1
+            summary.sum_tau += tau
+            summary.max_l2 = max(summary.max_l2, l2)
+            summary.max_sup = max(summary.max_sup, ev.state_sup)
+            if branch == ADAPTIVE:
+                summary.adaptive_steps += 1
+            elif branch == FALLBACK:
+                summary.fallback_steps += 1
+            else:
+                summary.clamp_steps += 1
+            if branch != CLAMP:
+                summary.min_step = min(summary.min_step, tau)
+                if law is not None:
+                    expr = law.zeta * l2**law.q0 + law.xi + 1.0 / horizon
+                    summary.max_bound_expr = max(summary.max_bound_expr, expr)
 
-        if tau != step_tau:  # under te: the first step and the final clamp
-            step_tau = tau
-            decay = np.exp(-tau * lam)
-            weight = None
-            if exact_convolution:
-                two_lam_tau = 2.0 * tau * lam
-                weight = np.sqrt(-np.expm1(-two_lam_tau) / two_lam_tau)
-            sub = tau / refinement
-            decay_ref = np.exp(-sub * lam) if track_reference else None
-        x = _update(x, ev, tau, decay, coarse[:n], use_tamed, t, weight)
-
-        if track_reference:
-            for j in range(refinement):
-                evr = evaluate_drift(drift, xr, m_grid)
-                xr = _update(
-                    xr, evr, sub, decay_ref, fine[j, :n], use_tamed, t + j * sub
+        for (tau, use_tamed, final), movers in moves.items():
+            fine, coarse = stream.increments(steps, tau, refinement)
+            step = last if last[0] == tau else factors(tau)
+            _, decay, weight, decay_ref = step
+            try:
+                x_next = _update(x, ev, tau, decay, coarse[:n], use_tamed, t, weight)
+                xr_next = xr
+                if track_reference:
+                    sub = tau / refinement
+                    for j in range(refinement):
+                        evr = evaluate_drift(drift, xr_next, m_grid)
+                        xr_next = _update(
+                            xr_next, evr, sub, decay_ref, fine[j, :n], use_tamed,
+                            t + j * sub,
+                        )
+            except BlowUpError as exc:
+                for k, _, _, _ in movers:
+                    results[k] = exc
+                continue
+            if not final:
+                live.append((movers, x_next, xr_next, t + tau, steps + 1, step))
+                continue
+            final_field = SpectralField(x_next)
+            reference_final = SpectralField(xr_next) if track_reference else None
+            end_l2 = float(np.linalg.norm(x_next))
+            end_sup = float(np.max(np.abs(coeffs_to_values(x_next, m_grid))))
+            for k, _, summary, records in movers:
+                summary.max_l2 = max(summary.max_l2, end_l2)
+                summary.max_sup = max(summary.max_sup, end_sup)
+                results[k] = IntegrationResult(
+                    final_field, summary, records, reference_final
                 )
-
-        if records is not None:
-            records.append(StepRecord(t, tau, branch, l2, ev.state_sup, drift_norm))
-        summary.steps += 1
-        summary.sum_tau += tau
-        summary.max_l2 = max(summary.max_l2, l2)
-        summary.max_sup = max(summary.max_sup, ev.state_sup)
-        if branch == ADAPTIVE:
-            summary.adaptive_steps += 1
-        elif branch == FALLBACK:
-            summary.fallback_steps += 1
-        else:
-            summary.clamp_steps += 1
-        if branch != CLAMP:
-            summary.min_step = min(summary.min_step, tau)
-            if law is not None:
-                expr = law.zeta * l2**law.q0 + law.xi + 1.0 / horizon
-                summary.max_bound_expr = max(summary.max_bound_expr, expr)
-
-        t = horizon if final else t + tau
-
-    final_field = SpectralField(x)
-    summary.max_l2 = max(summary.max_l2, float(np.linalg.norm(x)))
-    summary.max_sup = max(
-        summary.max_sup, float(np.max(np.abs(coeffs_to_values(x, m_grid))))
-    )
-    result = IntegrationResult(final_field, summary, records)
-    if track_reference:
-        result.reference_final = SpectralField(xr)
-    return result
+    return results

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from allencahn import cli
 from allencahn.cli import main
 from allencahn.config import (
     _KEYS,
@@ -451,6 +452,28 @@ def test_cli_trace_adaptive_scheme(tmp_path):
     assert all(r[0] == "2" for r in rows)
     manifest = (out / "manifest.txt").read_text(encoding="utf-8")
     assert "cell=(ae, type3, 0.125)" in manifest
+
+
+@pytest.mark.parametrize(
+    "preset, modes, exact",
+    [("smoke", "n_modes", False), ("spatial-desk", "spatial_reference", True)],
+)
+def test_cli_trace_follows_a_path_of_the_study(
+    tmp_path, monkeypatch, preset, modes, exact
+):
+    # a temporal study's coarse path, or a spatial study's reference path
+    seen = []
+    integrate = cli.integrate
+
+    def capturing(scheme, initial, horizon, stream, drift, **kwargs):
+        exact_form = kwargs.get("exact_convolution", False)
+        seen.append((initial.n_modes, stream.spec.n_modes, exact_form))
+        return integrate(scheme, initial, horizon, stream, drift, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", capturing)
+    assert run_cli("trace", "--preset", preset, "--out", str(tmp_path / "tr")) == 0
+    n = getattr(load_preset(preset), modes)
+    assert seen == [(n, n, exact)]
 
 
 def test_cli_trace_rejects_unknown_scheme(tmp_path, capsys):

@@ -30,7 +30,7 @@ from allencahn.experiments import (
 )
 from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import eigenvalues
-from allencahn.stepping import integrate
+from allencahn.stepping import integrate, integrate_group
 
 from conftest import direct_coeffs, direct_values
 
@@ -346,25 +346,109 @@ def test_temporal_study_runs_in_two_maps(monkeypatch):
         return original(pool, task, args)
 
     monkeypatch.setattr(experiments, "_map", counting)
-    cfg = small_config(schemes=("te", "ateu", "atea"), deltas=(0.25, 0.125), samples=3)
-    convergence_study(cfg)
-    # every adaptive path, then every te path
-    assert calls == [2 * 2 * 3, 2 * 3]
+    cfg = small_config(
+        schemes=("te", "ateu", "atea"), laws=("type1", "type2"),
+        deltas=(0.25, 0.125), samples=3,
+    )
+    res = convergence_study(cfg)
+    # one group task per (delta level, sample), then one te task per
+    # distinct (delta level, te_h, sample)
+    te_paths = {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
+    assert calls == [2 * 3, len(te_paths) * 3]
+
+
+def _napping(run, nap):
+    def run_after_a_nap(*args, **kwargs):
+        time.sleep(nap)
+        return run(*args, **kwargs)
+
+    return run_after_a_nap
 
 
 def test_cpu_seconds_is_the_cpu_time_of_the_cells_paths(monkeypatch):
     nap = 0.02
+    monkeypatch.setattr(experiments, "integrate", _napping(integrate, nap))
+    monkeypatch.setattr(experiments, "integrate_group", _napping(integrate_group, nap))
+    task_cpu = []
+    timed = experiments._timed
 
-    def sleepy(*args, **kwargs):
-        time.sleep(nap)
+    def recording(task, *args):
+        out, cpu = timed(task, *args)
+        task_cpu.append(cpu)
+        return out, cpu
+
+    monkeypatch.setattr(experiments, "_timed", recording)
+    cfg = small_config(
+        n_modes=8, deltas=(0.5, 0.25), samples=3, schemes=("te", "ateu", "atea")
+    )
+    res = convergence_study(cfg)
+    assert {c.scheme for c in res.cells} == {"te", "ateu", "atea"}
+    for cell in res.cells:
+        # one nap per task; wall time would include them
+        assert 0.0 < cell.cpu_seconds < 0.5 * nap * cfg.samples, cell
+    # each task's CPU seconds are split among the cells it serves
+    assert len(task_cpu) == 2 * cfg.samples + len(
+        {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
+    ) * cfg.samples
+    assert math.fsum(c.cpu_seconds for c in res.cells) == pytest.approx(
+        math.fsum(task_cpu), rel=1e-12
+    )
+
+
+def test_te_cells_with_equal_step_share_their_paths(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].h)
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "integrate", sleepy)
-    cfg = small_config(n_modes=8, deltas=(0.5, 0.25), samples=3)
+    monkeypatch.setattr(experiments, "integrate", counting)
+    cfg = small_config(
+        laws=("type1", "type2", "type3"), deltas=(2.0**-3, 2.0**-5), samples=3
+    )
     res = convergence_study(cfg)
-    for cell in res.cells:
-        # one integrate call per temporal path; wall time would include the naps
-        assert 0.0 < cell.cpu_seconds < 0.5 * nap * cfg.samples, cell
+    te = [c for c in res.cells if c.scheme == "te"]
+    shared = {}
+    for cell in te:
+        shared.setdefault((cell.delta, cell.te_h), []).append(cell)
+    assert len(shared) < len(te)  # some level has two laws with one te_h
+    assert len(calls) == len(shared) * cfg.samples
+    for (delta, te_h), cells in shared.items():
+        for cell in cells:
+            assert cell.outcomes == cells[0].outcomes
+            for s, stored in enumerate(cell.outcomes):
+                path = cfg.deltas.index(delta) * cfg.samples + s
+                alone = coupled_error_sample(
+                    cfg, "te", cell.law, delta, path, te_h=te_h
+                )
+                assert repr(alone) == repr(stored)
+
+
+def test_outcomes_carry_the_branch_mix(small_study):
+    cfg = small_study.config
+    for cell in small_study.cells:
+        for o in cell.outcomes:
+            assert o.adaptive_steps + o.fallback_steps + o.clamp_steps == o.steps
+            assert o.nonclamp_steps == o.steps - o.clamp_steps
+        for name in ("adaptive_steps", "fallback_steps", "clamp_steps"):
+            assert getattr(cell, name) == sum(getattr(o, name) for o in cell.outcomes)
+        if cell.scheme == "te":
+            assert cell.adaptive_steps == 0
+    ateu = [c for c in small_study.cells if c.scheme == "ateu"]
+    assert sum(c.adaptive_steps for c in ateu) > 0
+    assert sum(c.fallback_steps for c in ateu) > 0
+    # the counts are the path's own summary counts
+    delta = cfg.deltas[0]
+    scheme = make_scheme(cfg, "ateu", "type1", delta)
+    stream = NoiseStream(NoiseSpec(cfg.noise_kind, cfg.n_modes), cfg.seed, 1)
+    summary = integrate(
+        scheme, initial_state(cfg.initial, cfg.n_modes), cfg.horizon, stream,
+        cfg.drift, refinement=cfg.refinement,
+    ).summary
+    stored = small_study.cell("ateu", "type1", delta).outcomes[1]
+    assert (stored.adaptive_steps, stored.fallback_steps, stored.clamp_steps) == (
+        summary.adaptive_steps, summary.fallback_steps, summary.clamp_steps
+    )
 
 
 def test_spatial_study_sweep():

@@ -16,6 +16,7 @@ from allencahn.stepping import (
     TimestepLaw,
     compute_timestep,
     integrate,
+    integrate_group,
 )
 
 CUBIC = CubicDrift(-1.0, 0.0, 1.0)
@@ -476,3 +477,127 @@ def test_projected_drift_norm_switch():
     proj = law_at(law, zero(), drift, projected=True)
     assert full != proj
     assert full == pytest.approx(0.5 * (1.0 / (2.0 + 1.0)) ** (4.0 / 3.0), abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# a group of schemes on one path against each scheme's own integrate run
+
+
+def _fingerprint(run):
+    """Everything a run returns, exactly: coefficients as float lists."""
+    if isinstance(run, BlowUpError):
+        return repr((type(run), run.time, run.sup_norm))
+    reference = run.reference_final
+    return repr((
+        run.final.coeffs.tolist(),
+        None if reference is None else reference.coeffs.tolist(),
+        run.summary,
+        run.records,
+    ))
+
+
+def _alone(scheme, initial, noise, **kw):
+    try:
+        return integrate(scheme, initial, 1.0, noise, CUBIC, **kw)
+    except BlowUpError as exc:
+        return exc
+
+
+def _group_equals_members(schemes, initial, noise, monkeypatch, **kw):
+    """Asserts the oracle and returns the group's increment draw count."""
+    draws = []
+    original = NoiseStream.increments
+
+    def counting(self, step, dt, r=1):
+        draws.append((step, dt))
+        return original(self, step, dt, r)
+
+    monkeypatch.setattr(NoiseStream, "increments", counting)
+    group = integrate_group(
+        schemes, initial, 1.0, noise, CUBIC, collect_records=True, **kw
+    )
+    monkeypatch.setattr(NoiseStream, "increments", original)
+    assert len(group) == len(schemes)
+    for scheme, run in zip(schemes, group):
+        alone = _alone(scheme, initial, noise, collect_records=True, **kw)
+        assert _fingerprint(run) == _fingerprint(alone), scheme
+    return group, len(draws)
+
+
+def _hybrid(kind, family, delta=0.125, tau_min=0.1):
+    return Scheme(kind, law=TimestepLaw(family, delta, tau_min=tau_min))
+
+
+def _branches(run):
+    return "".join(r.branch[0] for r in run.records)
+
+
+def test_group_that_never_splits_draws_once_per_step(monkeypatch):
+    # every law falls back at every step, so all four take one partition
+    schemes = [
+        _hybrid("ateu", "au1", tau_min=0.2),
+        _hybrid("ateu", "au3", tau_min=0.2),
+        _hybrid("ateu", "au6", tau_min=0.2),
+        _hybrid("atea", "aa3", tau_min=0.2),
+    ]
+    group, draws = _group_equals_members(
+        schemes, e1(), stream(seed=1), monkeypatch, refinement=2
+    )
+    assert {_branches(run) for run in group} == {"t" * 8}
+    assert draws == 8
+
+
+def test_group_splits_where_one_law_takes_an_adaptive_step(monkeypatch):
+    au3, au6, aa3 = (
+        _hybrid("ateu", "au3"), _hybrid("ateu", "au6"), _hybrid("atea", "aa3")
+    )
+    group, draws = _group_equals_members(
+        [au3, au6, aa3], e1(), stream(seed=1), monkeypatch, refinement=2
+    )
+    paths = [_branches(run) for run in group]
+    # shared fallback steps, then au3 turns adaptive where the others fall
+    # back; each part ends with its own final clamp
+    assert paths[0].startswith("tta") and paths[1].startswith("ttt")
+    assert paths[1] == paths[2]
+    assert [run.records[-1].branch for run in group] == [CLAMP] * 3
+    assert group[0].summary.steps != group[1].summary.steps
+    assert group[0].records[-1].tau != group[1].records[-1].tau
+    assert draws == 2 + (group[0].summary.steps - 2) + (group[1].summary.steps - 2)
+
+
+def test_group_members_with_different_final_steps(monkeypatch):
+    # uniform steps: 0.25 lands on the horizon, 0.3 and 0.4 end in clamps
+    schemes = [ae(0.25), ae(0.3), Scheme("te", h=0.4), ae(0.25)]
+    group, draws = _group_equals_members(
+        schemes, e1(), stream(), monkeypatch, refinement=3
+    )
+    assert [run.records[-1].branch for run in group] == [
+        ADAPTIVE, CLAMP, CLAMP, ADAPTIVE
+    ]
+    assert draws == 4 + 4 + 3  # the two 0.25 members share their draws
+    assert group[0].summary is not group[3].summary
+
+
+def test_group_member_blows_up_while_another_completes(monkeypatch):
+    big = SpectralField(np.array([30.0, 0.0, 0.0, 0.0]))
+    schemes = [ae(0.1), Scheme("te", h=0.1), ae(0.1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        group, _ = _group_equals_members(schemes, big, stream(4), monkeypatch)
+    assert isinstance(group[0], BlowUpError) and isinstance(group[2], BlowUpError)
+    assert not isinstance(group[1], BlowUpError)
+    with pytest.raises(BlowUpError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrate(ae(0.1), big, 1.0, stream(4), CUBIC)
+
+
+def test_group_raises_its_members_runaway():
+    schemes = [Scheme("te", h=0.25), Scheme("te", h=0.1)]
+    with pytest.raises(RunawayPartitionError) as alone:
+        integrate(schemes[1], e1(), 1.0, stream(), CUBIC, step_ceiling=5)
+    with pytest.raises(RunawayPartitionError) as grouped:
+        integrate_group(schemes, e1(), 1.0, stream(), CUBIC, step_ceiling=5)
+    assert (grouped.value.steps, grouped.value.time) == (
+        alone.value.steps, alone.value.time
+    )
+    finished = integrate_group(schemes[:1], e1(), 1.0, stream(), CUBIC, step_ceiling=5)
+    assert finished[0].summary.steps == 4

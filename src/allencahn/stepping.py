@@ -21,6 +21,7 @@ delta * min(T, tau(X)) <= tau^delta(X) <= min(delta T, tau(X)).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,7 +331,7 @@ def integrate(
 
 
 def integrate_group(
-    schemes,
+    schemes: Sequence[Scheme],
     initial: SpectralField,
     horizon: float,
     stream: NoiseStream,

@@ -41,6 +41,7 @@ from .stepping import (
     TimestepLaw,
     compute_timestep,
     integrate,
+    integrate_block,
     integrate_group,
 )
 from .validation import run_validation
@@ -76,6 +77,7 @@ __all__ = [
     "initial_state",
     "inner_product_x_f",
     "integrate",
+    "integrate_block",
     "integrate_group",
     "l2_norm",
     "load_config",

@@ -31,6 +31,7 @@ from .experiments import (
     convergence_study,
     initial_state,
     make_scheme,
+    te_fallback_step,
     write_cells_csv,
     write_slopes_csv,
     write_trace_csv,
@@ -182,9 +183,14 @@ def cmd_trace(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--path {args.path}: {exc}") from exc
 
+    # A te trace takes the step the study's te cell takes when no hybrid
+    # step adapts.
+    te_h = te_fallback_step(cfg, delta) if scheme_kind == "te" else None
+    scheme = make_scheme(cfg, scheme_kind, law_token, delta, te_h)
+
     def work(out_dir, outputs):
         result = integrate(
-            make_scheme(cfg, scheme_kind, law_token, delta),
+            scheme,
             initial_state(cfg.initial, n),
             cfg.horizon,
             stream,
@@ -196,7 +202,11 @@ def cmd_trace(args) -> int:
         )
         write_trace_csv(out_dir / "trace.csv", result.records, args.path)
         outputs.append("trace.csv")
-        return f"cell=({scheme_kind}, {law_token}, {delta!r}) steps={result.summary.steps}"
+        h = f" h={te_h!r}" if te_h is not None else ""
+        return (
+            f"cell=({scheme_kind}, {law_token}, {delta!r}){h} "
+            f"steps={result.summary.steps}"
+        )
 
     return _run(args, cfg, source, work)
 

@@ -69,41 +69,57 @@ class DriftEvaluation:
     """Everything one drift evaluation yields, computed from two transforms.
 
     Shared by the timestep laws and the step updates so the state is only
-    synthesised once per step.
+    synthesised once per step.  A (rows, N) block of states takes one
+    transform pair along the last axis.  The norms are computed when read,
+    so a step that needs only the coefficients pays for no norm; for a
+    block they are lists with one float per row, each equal bit for bit
+    to that row's own evaluation (one np.dot per row, never a pairwise
+    sum over the block).
     """
 
-    __slots__ = (
-        "grid_values",
-        "image_values",
-        "coeffs",
-        "image_norm",
-        "projected_norm",
-        "state_sup",
-        "m",
-    )
+    __slots__ = ("grid_values", "image_values", "coeffs", "m", "a0")
 
     def __init__(self, drift: CubicDrift, state_coeffs: np.ndarray, m: int):
         self.m = m
+        self.a0 = drift.a0
         v = coeffs_to_values(state_coeffs, m)
-        w = drift(v)
         self.grid_values = v
-        self.image_values = w
-        self.coeffs = values_to_coeffs(w, state_coeffs.size)
-        # Trapezoid quadrature: the state vanishes at x = 0, 1 but its image
-        # equals f(0) = a0 there, hence the boundary term a0^2.
-        self.image_norm = math.sqrt((np.dot(w, w) + drift.a0**2) / (m + 1))
+        self.image_values = drift(v)
+        self.coeffs = values_to_coeffs(self.image_values, state_coeffs.shape[-1])
+
+    @property
+    def image_norm(self):
+        """||f(X)|| by trapezoid quadrature on the grid."""
+        # The state vanishes at x = 0, 1 but its image equals f(0) = a0
+        # there, hence the boundary term a0^2.
+        a0_sq, cells = self.a0**2, self.m + 1
+        w = self.image_values
+        if w.ndim == 1:
+            return math.sqrt((np.dot(w, w) + a0_sq) / cells)
+        return [math.sqrt((np.dot(row, row) + a0_sq) / cells) for row in w]
+
+    @property
+    def projected_norm(self):
+        """||F^N(X)||, the norm of the projected drift coefficients."""
         c = self.coeffs
-        self.projected_norm = math.sqrt(np.dot(c, c))
-        # abs() turns a -0.0 of an all-zero state into max|v|'s 0.0.
-        self.state_sup = abs(float(max(v.max(), -v.min())))
+        if c.ndim == 1:
+            return math.sqrt(np.dot(c, c))
+        return [math.sqrt(np.dot(row, row)) for row in c]
+
+    @property
+    def state_sup(self):
+        """max |X| over the grid (exact, so a block row's equals its own)."""
+        return np.abs(self.grid_values).max(axis=-1).tolist()
 
 
 def evaluate_drift(
     drift: CubicDrift, state_coeffs: np.ndarray, m: int | None = None
 ) -> DriftEvaluation:
+    """The drift of one state, or of each row of a (rows, N) block of states."""
+    n = state_coeffs.shape[-1]
     if m is None:
-        m = fast_dealias_size(state_coeffs.size)
-    _check_dealias(state_coeffs.size, m)
+        m = fast_dealias_size(n)
+    _check_dealias(n, m)
     return DriftEvaluation(drift, state_coeffs, m)
 
 

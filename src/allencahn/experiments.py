@@ -34,7 +34,7 @@ from .stepping import (
     Scheme,
     TimestepLaw,
     integrate,
-    integrate_group,
+    integrate_block,
 )
 
 TYPE_TOKENS = tuple(f"type{i}" for i in range(1, 7))
@@ -337,33 +337,58 @@ def coupled_error_sample(
     return _outcome(res, ref)
 
 
-def _adaptive_outcomes(cfg, variants, delta, path) -> list[SampleOutcome]:
-    """Outcomes of every adaptive (scheme, law) variant at `delta` on one path.
+def _adaptive_outcomes(cfg, variants, delta, paths) -> list[list[SampleOutcome]]:
+    """Outcomes of every adaptive (scheme, law) variant at `delta`, per path.
 
-    The variants run as one `integrate_group`, so steps they share are
-    taken once; each outcome equals the variant's `coupled_error_sample`.
+    The variants run on the block of paths as one `integrate_block`, so
+    steps they share are taken once and paths that step alike share their
+    transforms; each outcome equals the variant's `coupled_error_sample`.
     """
     n = cfg.n_modes
-    runs = integrate_group(
+    block = integrate_block(
         [make_scheme(cfg, kind, token, delta) for kind, token in variants],
         initial_state(cfg.initial, n),
         cfg.horizon,
-        _stream(cfg, path, n),
+        [_stream(cfg, path, n) for path in paths],
         cfg.drift,
         refinement=cfg.refinement,
         step_ceiling=cfg.step_ceiling,
         projected_drift_norm=cfg.projected_drift_norm,
     )
     return [
-        _outcome(run.time, None) if isinstance(run, BlowUpError)
-        else _outcome(run, run.reference_final.coeffs)
-        for run in runs
+        [
+            _outcome(run.time, None) if isinstance(run, BlowUpError)
+            else _outcome(run, run.reference_final.coeffs)
+            for run in runs
+        ]
+        for runs in block
     ]
 
 
-def _te_outcome(cfg, delta, te_h, path) -> SampleOutcome:
-    """The te sample at uniform step te_h; no law enters a te path."""
-    return coupled_error_sample(cfg, "te", cfg.laws[0], delta, path, te_h=te_h)
+def _te_outcomes(cfg, delta, te_h, paths) -> list[SampleOutcome]:
+    """The te sample of each path at uniform step te_h, one `integrate` per
+    path; no law enters a te path."""
+    return [
+        coupled_error_sample(cfg, "te", cfg.laws[0], delta, path, te_h=te_h)
+        for path in paths
+    ]
+
+
+# The te baseline of a level matches the mean step count of the first of
+# these cells the study runs.
+_TE_MATCH_ORDER = ("ateu", "atea", "ae")
+
+
+def te_fallback_step(cfg: StudyConfig, delta: float) -> float:
+    """The te step the study matches at delta when no hybrid step adapts.
+
+    That is the fallback length of the first of ateu, atea and ae the
+    config runs, or delta T if it runs none of them.
+    """
+    for kind in _TE_MATCH_ORDER:
+        if kind in cfg.schemes:
+            return make_scheme(cfg, kind, cfg.laws[0], delta).fallback_length
+    return delta * cfg.horizon
 
 
 def rms_error(errors) -> float:
@@ -522,7 +547,7 @@ def _timed(task, *args):
     return out, time.process_time() - start
 
 
-def _map(pool: ProcessPoolExecutor | None, task, args) -> list:
+def _map(pool: ProcessPoolExecutor | None, task, args, chunksize: int = 4) -> list:
     """(task(*a), its CPU seconds) for every tuple a in args, in order.
 
     On the pool if there is one: a whole wave of paths goes in one map,
@@ -530,7 +555,9 @@ def _map(pool: ProcessPoolExecutor | None, task, args) -> list:
     """
     if pool is None:
         return [_timed(task, *a) for a in args]
-    return list(pool.map(partial(_timed, task), *zip(*args), chunksize=4))
+    return list(
+        pool.map(partial(_timed, task), *zip(*args), chunksize=chunksize)
+    )
 
 
 def _cell(key, block) -> CellResult:
@@ -581,41 +608,61 @@ def spearman_rho(x, y) -> float:
     return float(np.corrcoef(rx, ry)[1, 0])
 
 
+BLOCK_ROWS = 8  # sample paths per adaptive task; see `_temporal_cells`
+
+
 def _temporal_cells(
     cfg: StudyConfig, pool: ProcessPoolExecutor | None
 ) -> list[CellResult]:
     """The (scheme, law, delta) grid, in scheme, law, delta order.
 
     Sample s at delta level i is path i * samples + s.  A first map runs
-    one task per (level, sample): every adaptive (scheme, law) variant of
-    the level as one group on that path (see `_adaptive_outcomes`).  The te
-    baseline matches its uniform step to the realized mean adaptive step
-    count, so a second map runs the te paths, once per distinct (level,
-    te_h, sample): te cells of a level with equal te_h share those
-    outcomes.  A task's CPU seconds are split equally among the cells it
-    serves, so the cells' cpu_seconds sum to the tasks' CPU seconds.
+    one task per (level, block of up to BLOCK_ROWS samples), finest level
+    first, one task at a time per worker: every adaptive (scheme, law)
+    variant of the level on every path of the block as one
+    `integrate_block` (see `_adaptive_outcomes`).  At 8 rows of 1023 grid
+    points one transform of the block costs about half as much per row as
+    a single one; the saving shrinks from 32 rows on.  The te baseline
+    matches its uniform step to the realized mean adaptive step count, so
+    a second map runs the te paths, one task per distinct (level, te_h,
+    sample): te cells of a level with equal te_h share those outcomes.  A
+    task's CPU seconds are split equally among the (cell, sample) outcomes
+    it serves, so the cells' cpu_seconds sum to the tasks' CPU seconds.
     """
     samples = cfg.samples
     cells: dict[tuple[str, str, float], CellResult] = {}
 
-    def wave(task, jobs):
+    def wave(task, jobs, rows, chunksize):
         """Adds the cells of jobs (cell keys, delta level i, task args).
 
-        A job runs task(cfg, *args, path) on every path of level i; each
-        run gives one outcome per key, or one outcome shared by all keys.
+        A job runs task(cfg, *args, paths) on blocks of up to `rows` of
+        level i's paths; a task gives, per path, one outcome per key or
+        one outcome shared by all keys.
         """
+        tasks = [
+            (j, range(s, min(s + rows, samples)))
+            for j in range(len(jobs))
+            for s in range(0, samples, rows)
+        ]
         timed = _map(
             pool,
             task,
-            [(cfg, *a, i * samples + s) for _, i, a in jobs for s in range(samples)],
+            [
+                (cfg, *jobs[j][2], tuple(jobs[j][1] * samples + s for s in block))
+                for j, block in tasks
+            ],
+            chunksize,
         )
-        for j, (keys, _, _) in enumerate(jobs):
-            blocks = [[] for _ in keys]
-            for outs, cpu in timed[j * samples : (j + 1) * samples]:
-                if isinstance(outs, SampleOutcome):
-                    outs = [outs] * len(keys)
-                for block, out in zip(blocks, outs):
-                    block.append((out, cpu / len(keys)))
+        collected = [[[] for _ in keys] for keys, _, _ in jobs]
+        for (j, block), (outs, cpu) in zip(tasks, timed):
+            keys = jobs[j][0]
+            share = cpu / (len(keys) * len(block))
+            for out in outs:
+                if isinstance(out, SampleOutcome):
+                    out = [out] * len(keys)
+                for cell_block, o in zip(collected[j], out):
+                    cell_block.append((o, share))
+        for (keys, _, _), blocks in zip(jobs, collected):
             for key, block in zip(keys, blocks):
                 cells[key[:3]] = _cell(key, block)
 
@@ -630,15 +677,17 @@ def _temporal_cells(
                     i,
                     (variants, delta),
                 )
-                for i, delta in levels
+                for i, delta in reversed(levels)  # the finest, longest first
             ],
+            BLOCK_ROWS,
+            1,
         )
     if "te" in cfg.schemes:
         shared: dict[tuple[int, float], list] = {}
         for law_token in cfg.laws:
             for i, delta in levels:
                 te_h = delta * cfg.horizon
-                for preferred in ("ateu", "atea", "ae"):
+                for preferred in _TE_MATCH_ORDER:
                     key = (preferred, law_token, delta)
                     if key in cells:
                         te_h = cfg.horizon / cells[key].mean_steps
@@ -647,8 +696,10 @@ def _temporal_cells(
                     ("te", law_token, delta, te_h, cfg.n_modes)
                 )
         wave(
-            _te_outcome,
+            _te_outcomes,
             [(keys, i, (cfg.deltas[i], te_h)) for (i, te_h), keys in shared.items()],
+            1,
+            4,
         )
     return [
         cells[(s, l, d)]

@@ -73,9 +73,10 @@ class NoiseStream:
             raise ValueError("path index must fit in 32 bits")
 
     def __getstate__(self):
-        # The reused Philox is a cache: pickles carry the fields only, as do
-        # __eq__, __hash__ and repr, which see dataclass fields alone.
-        return {k: v for k, v in self.__dict__.items() if k != "_rng"}
+        # The reused Philox and the last step's scale are caches: pickles
+        # carry the fields only, as do __eq__, __hash__ and repr, which see
+        # dataclass fields alone.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_rng", "_sig")}
 
     def _generator(self, step: int) -> Generator:
         """The generator of Generator(Philox(key)) for this step's key.
@@ -111,8 +112,14 @@ class NoiseStream:
             raise ValueError("dt must be positive")
         if r < 1:
             raise ValueError("refinement factor must be at least 1")
-        sig = self.spec.scale * np.sqrt(self.spec.mode_variances * (dt / r))
-        fine = self._generator(step).standard_normal((r, self.spec.n_modes)) * sig
-        coarse = fine.sum(axis=0)
+        # Steps of one path mostly repeat their length: keep the last scale.
+        last = self.__dict__.get("_sig")
+        if last is None or last[0] != (dt, r):
+            spec = self.spec
+            last = ((dt, r), spec.scale * np.sqrt(spec.mode_variances * (dt / r)))
+            object.__setattr__(self, "_sig", last)
+        fine = self._generator(step).standard_normal((r, self.spec.n_modes)) * last[1]
+        # The sum of one row is that row exactly.
+        coarse = fine[0] if r == 1 else fine.sum(axis=0)
         return fine, coarse
 

@@ -58,17 +58,18 @@ class SpectralField:
 def coeffs_to_values(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Values of the coefficient vector at the M interior grid points.
 
-    M >= N is required so every mode is representable on the grid; the
-    round trip values_to_coeffs(coeffs_to_values(a, M), N) is then exact.
+    A (rows, N) block transforms row by row along the last axis, each row
+    bitwise as its own call.  M >= N is required so every mode is
+    representable on the grid; the round trip
+    values_to_coeffs(coeffs_to_values(a, M), N) is then exact.
     """
-    if m < coeffs.size:
-        raise ValueError(
-            f"grid with {m} interior points cannot represent {coeffs.size} modes"
-        )
+    n = coeffs.shape[-1]
+    if m < n:
+        raise ValueError(f"grid with {m} interior points cannot represent {n} modes")
     # DST-I of the zero-padded coefficients gives 2 * sum a_i sin(i pi x_k);
     # the basis carries an extra sqrt(2).
-    buf = np.zeros(m)
-    buf[: coeffs.size] = coeffs
+    buf = np.zeros(coeffs.shape[:-1] + (m,))
+    buf[..., :n] = coeffs
     values = dst(buf, type=1, overwrite_x=True)
     values /= _SQRT2
     return values
@@ -79,14 +80,15 @@ def values_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
 
     Uses the discrete orthogonality of sin(i pi x_k) on the uniform grid:
     a_i = sqrt(2)/(M+1) * sum_k values_k sin(i pi x_k), exact whenever the
-    underlying function is band-limited to at most M modes.
+    underlying function is band-limited to at most M modes.  A (rows, M)
+    block transforms row by row along the last axis.
     """
-    m = values.size
+    m = values.shape[-1]
     if not 1 <= n_modes <= m:
         raise ValueError(
             f"grid with {m} interior points cannot resolve {n_modes} modes"
         )
-    return dst(values, type=1)[:n_modes] * (_SQRT2 / (2.0 * (m + 1)))
+    return dst(values, type=1)[..., :n_modes] * (_SQRT2 / (2.0 * (m + 1)))
 
 
 def apply_semigroup(field: SpectralField, t: float) -> SpectralField:

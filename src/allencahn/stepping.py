@@ -23,15 +23,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .drift import (
-    CubicDrift,
-    DriftEvaluation,
-    evaluate_drift,
-    fast_dealias_size,
-)
+from .drift import CubicDrift, evaluate_drift, fast_dealias_size
 from .errors import BlowUpError, RunawayPartitionError
 from .noise import NoiseStream
 from .spectral import SpectralField, coeffs_to_values, eigenvalues
@@ -207,11 +203,15 @@ def _lp_from_values(values: np.ndarray, m: int, p: int) -> float:
     return float(((values**p).sum() / (m + 1)) ** (1.0 / p))
 
 
-def _l4_l6(coeffs: np.ndarray) -> tuple[float, float]:
-    """The L4 and L6 norms of the state, for the aa laws."""
-    m = 2 * coeffs.size
+def _l4_l6(coeffs: np.ndarray) -> list[tuple[float, float]]:
+    """The L4 and L6 norms of each row of a (rows, N) state block, for the aa laws.
+
+    One transform serves the block; each row's sums are its own, so a row
+    gets the norms of its own one-row call bit for bit.
+    """
+    m = 2 * coeffs.shape[-1]
     vals = coeffs_to_values(coeffs, m)
-    return _lp_from_values(vals, m, 4), _lp_from_values(vals, m, 6)
+    return [(_lp_from_values(v, m, 4), _lp_from_values(v, m, 6)) for v in vals]
 
 
 def compute_timestep(
@@ -225,7 +225,7 @@ def compute_timestep(
     """
     if not law.needs_lp_norms:
         return law.value(l2, drift_norm)
-    return law.value(l2, drift_norm, *_l4_l6(coeffs))
+    return law.value(l2, drift_norm, *_l4_l6(coeffs[None])[0])
 
 
 def _select_branch(
@@ -246,31 +246,42 @@ def _select_branch(
 
 def _update(
     x: np.ndarray,
-    ev: DriftEvaluation,
+    drift_coeffs: np.ndarray,
     tau: float,
     decay: np.ndarray,
     dw: np.ndarray,
-    tamed: bool,
-    t: float,
+    tamed_norms: list[float] | None,
     noise_weight: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One step from x: S(tau)(x + tau F(x) + dW), decay = exp(-tau lambda).
+    """One step of each row of the block x: S(tau)(x + tau F(x) + dW).
 
-    The tamed update damps the drift term by 1/(1 + ||F^N(x)|| tau).  With
-    a `noise_weight` c the noise enters outside the semigroup as c * dW
-    (the exact-convolution form).
+    decay = exp(-tau lambda).  With the per-row norms ||F^N(x)|| given, the
+    tamed update damps each row's drift term by 1/(1 + ||F^N(x)|| tau).
+    With a `noise_weight` c the noise enters outside the semigroup as
+    c * dW (the exact-convolution form).
     """
-    if tamed:
-        drift_term = (tau / (1.0 + ev.projected_norm * tau)) * ev.coeffs
+    if tamed_norms is None:
+        out = tau * drift_coeffs
     else:
-        drift_term = tau * ev.coeffs
+        damped = [[tau / (1.0 + norm * tau)] for norm in tamed_norms]
+        out = np.array(damped) * drift_coeffs
+    # In place, operand for operand: decay * (x + drift term + dW), or
+    # decay * (x + drift term) + c * dW.
+    out += x
     if noise_weight is None:
-        out = decay * (x + drift_term + dw)
+        out += dw
+        out *= decay
     else:
-        out = decay * (x + drift_term) + noise_weight * dw
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(t, ev.state_sup)
+        out *= decay
+        out += noise_weight * dw
     return out
+
+
+def _not_finite(out: np.ndarray) -> list[int]:
+    """The rows of the block out that hold a non-finite value."""
+    if np.isfinite(out).all():
+        return []
+    return np.flatnonzero(~np.isfinite(out).all(axis=-1)).tolist()
 
 
 def integrate(
@@ -336,31 +347,51 @@ def integrate_group(
     horizon: float,
     stream: NoiseStream,
     drift: CubicDrift,
+    **kwargs,
+) -> list[IntegrationResult | BlowUpError]:
+    """`integrate` of every scheme on one sample path, sharing equal steps.
+
+    Returns one entry per scheme, in order: its `IntegrationResult`, or the
+    `BlowUpError` its own `integrate` call would raise.  Each entry equals
+    that call's result bit for bit.  This is the one-row call of
+    `integrate_block`, which takes the same keyword arguments.
+    """
+    (row,) = integrate_block(schemes, initial, horizon, [stream], drift, **kwargs)
+    return row
+
+
+def integrate_block(
+    schemes: Sequence[Scheme],
+    initial: SpectralField,
+    horizon: float,
+    streams: Sequence[NoiseStream],
+    drift: CubicDrift,
     *,
     refinement: int = 1,
     step_ceiling: int = 10_000_000,
     collect_records: bool = False,
     projected_drift_norm: bool = False,
     exact_convolution: bool = False,
-) -> list[IntegrationResult | BlowUpError]:
-    """`integrate` of every scheme on one sample path, sharing equal steps.
+) -> list[list[IntegrationResult | BlowUpError]]:
+    """`integrate_group` of the schemes on a block of sample paths, one per stream.
 
-    Returns one entry per scheme, in order: its `IntegrationResult`, or the
-    `BlowUpError` its own `integrate` call would raise.  Each entry equals
-    that call's result bit for bit.
+    Returns one row per stream, in order, each equal bit for bit to that
+    stream's own `integrate_group` call.
 
-    Schemes that have taken the same steps share one state (coarse and
-    reference coefficients, time, step ordinal).  Each step of such a
-    group evaluates the drift, the L2 norm and, when a member's law needs
-    them, the L4/L6 norms once; each member then picks its own branch,
-    step length and final clamp.  Members that move alike, by (step
-    length, tamed update, final step), take that step together: one
-    increment draw, one coarse update and r reference substeps.  A group
-    whose members move differently splits, and the parts never meet
-    again.  Every member keeps its own summary and records.
+    A row is one sample path: its own noise stream, coarse and reference
+    state, and members (the schemes, each with its own summary and
+    records).  A live group is a block of rows that share the time and the
+    step ordinal.  Each step of a group evaluates the drift of every row
+    with one transform pair, and the L4/L6 norms once a member's law needs
+    them; every member of every row then picks its own branch, step length
+    and final clamp.  The members that move alike, by (step length, tamed
+    update, final step), take that step together: one increment draw per
+    row, one coarse update of their rows and r reference substeps.  A group
+    whose members move differently splits, and the parts never meet again.
+    A row that blows up ends its members there; the other rows go on.
 
     A member whose partition runs away (see `integrate`) raises
-    `RunawayPartitionError` for the whole group.
+    `RunawayPartitionError` for the whole block.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -369,11 +400,14 @@ def integrate_group(
     if exact_convolution and refinement > 1:
         raise ValueError("the exact-convolution form takes no refined reference")
     n = initial.n_modes
-    if stream.spec.n_modes < n:
+    if any(stream.spec.n_modes < n for stream in streams):
         raise ValueError("noise stream carries fewer modes than the state")
     track_reference = refinement > 1
+    reads_drift_norm = collect_records or any(s.kind != "te" for s in schemes)
 
-    lam = eigenvalues(n)
+    # lam as a (1, N) row: the step factors take a block row's shape, so a
+    # one-row block updates without broadcasting.
+    lam = eigenvalues(n)[None]
     m_grid = fast_dealias_size(n)
 
     def factors(tau):
@@ -385,92 +419,148 @@ def integrate_group(
         decay_ref = np.exp(-(tau / refinement) * lam) if track_reference else None
         return tau, np.exp(-tau * lam), weight, decay_ref
 
-    results: list = [None] * len(schemes)
-    members = [
-        (k, scheme, TrajectorySummary(), [] if collect_records else None)
-        for k, scheme in enumerate(schemes)
+    results = [[None] * len(schemes) for _ in streams]
+    # A row: (its index, its stream, its members); a member: (scheme index,
+    # scheme, summary, records).
+    rows = [
+        (
+            i,
+            stream,
+            [
+                (k, scheme, TrajectorySummary(), [] if collect_records else None)
+                for k, scheme in enumerate(schemes)
+            ],
+        )
+        for i, stream in enumerate(streams)
     ]
-    # A live group: (members, x, xr, t, step ordinal, factors of its last step).
-    live = [(members, initial.coeffs, initial.coeffs, 0.0, 0, (None,))]
+    x0 = np.tile(initial.coeffs, (len(rows), 1))
+    # A live group: (rows, x, xr, t, step ordinal, factors of its last step).
+    live = [(rows, x0, x0, 0.0, 0, (None,))]
     while live:
-        members, x, xr, t, steps, last = live.pop()
+        rows, x, xr, t, steps, last = live.pop()
         if steps >= step_ceiling:
             raise RunawayPartitionError(steps, t)
 
         ev = evaluate_drift(drift, x, m_grid)
-        drift_norm = ev.projected_norm if projected_drift_norm else ev.image_norm
-        l2 = math.sqrt(np.dot(x, x))
-        lp = ()  # the L4/L6 norms, once a member's law needs them
+        drift_norms = repeat(None)  # read by the laws and the records only
+        if reads_drift_norm:
+            drift_norms = ev.projected_norm if projected_drift_norm else ev.image_norm
+        sups = ev.state_sup
+        lp = ()  # the L4/L6 norms of each row, once a member's law needs them
 
-        moves: dict[tuple[float, bool, bool], list] = {}
-        for member in members:
-            _, scheme, summary, records = member
-            law = scheme.law
-            if scheme.kind == "te":
-                branch, tau, use_tamed = FALLBACK, scheme.h, True
+        # (step length, tamed, final) -> {row position in the group: members}
+        moves: dict[tuple[float, bool, bool], dict[int, list]] = {}
+        for pos, ((_, _, members), row, drift_norm, sup) in enumerate(
+            zip(rows, x, drift_norms, sups)
+        ):
+            l2 = math.sqrt(np.dot(row, row))
+            for member in members:
+                _, scheme, summary, records = member
+                law = scheme.law
+                if scheme.kind == "te":
+                    branch, tau, use_tamed = FALLBACK, scheme.h, True
+                else:
+                    if not lp and law.needs_lp_norms:
+                        lp = _l4_l6(x)
+                    tau_m = law.value(l2, drift_norm, *(lp[pos] if lp else ()))
+                    branch, tau, use_tamed = _select_branch(scheme, tau_m, l2)
+
+                if tau <= 0 or t + tau == t:
+                    raise RunawayPartitionError(steps, t)
+
+                final = t + tau >= horizon
+                if final and horizon - t != tau:
+                    tau = horizon - t
+                    branch = CLAMP
+                moves.setdefault((tau, use_tamed, final), {}).setdefault(
+                    pos, []
+                ).append(member)
+
+                if records is not None:
+                    records.append(StepRecord(t, tau, branch, l2, sup, drift_norm))
+                summary.steps += 1
+                summary.sum_tau += tau
+                summary.max_l2 = max(summary.max_l2, l2)
+                summary.max_sup = max(summary.max_sup, sup)
+                if branch == ADAPTIVE:
+                    summary.adaptive_steps += 1
+                elif branch == FALLBACK:
+                    summary.fallback_steps += 1
+                else:
+                    summary.clamp_steps += 1
+                if branch != CLAMP:
+                    summary.min_step = min(summary.min_step, tau)
+                    if law is not None:
+                        expr = law.zeta * l2**law.q0 + law.xi + 1.0 / horizon
+                        summary.max_bound_expr = max(summary.max_bound_expr, expr)
+
+        for (tau, use_tamed, final), by_pos in moves.items():
+            projected = ev.projected_norm if use_tamed else None
+            if len(moves) == 1:  # every member of every row moves alike
+                movers, x_m, xr_m, drift_m, sups_m = rows, x, xr, ev.coeffs, sups
             else:
-                if not lp and law.needs_lp_norms:
-                    lp = _l4_l6(x)
-                tau_m = law.value(l2, drift_norm, *lp)
-                branch, tau, use_tamed = _select_branch(scheme, tau_m, l2)
-
-            if tau <= 0 or t + tau == t:
-                raise RunawayPartitionError(steps, t)
-
-            final = t + tau >= horizon
-            if final and horizon - t != tau:
-                tau = horizon - t
-                branch = CLAMP
-            moves.setdefault((tau, use_tamed, final), []).append(member)
-
-            if records is not None:
-                records.append(StepRecord(t, tau, branch, l2, ev.state_sup, drift_norm))
-            summary.steps += 1
-            summary.sum_tau += tau
-            summary.max_l2 = max(summary.max_l2, l2)
-            summary.max_sup = max(summary.max_sup, ev.state_sup)
-            if branch == ADAPTIVE:
-                summary.adaptive_steps += 1
-            elif branch == FALLBACK:
-                summary.fallback_steps += 1
-            else:
-                summary.clamp_steps += 1
-            if branch != CLAMP:
-                summary.min_step = min(summary.min_step, tau)
-                if law is not None:
-                    expr = law.zeta * l2**law.q0 + law.xi + 1.0 / horizon
-                    summary.max_bound_expr = max(summary.max_bound_expr, expr)
-
-        for (tau, use_tamed, final), movers in moves.items():
-            fine, coarse = stream.increments(steps, tau, refinement)
+                pos = list(by_pos)
+                movers = [(rows[p][0], rows[p][1], by_pos[p]) for p in pos]
+                x_m, xr_m, drift_m = x[pos], xr[pos], ev.coeffs[pos]
+                sups_m = [sups[p] for p in pos]
+                if use_tamed:
+                    projected = [projected[p] for p in pos]
+            draws = [
+                stream.increments(steps, tau, refinement) for _, stream, _ in movers
+            ]
             step = last if last[0] == tau else factors(tau)
             _, decay, weight, decay_ref = step
-            try:
-                x_next = _update(x, ev, tau, decay, coarse[:n], use_tamed, t, weight)
-                xr_next = xr
-                if track_reference:
-                    sub = tau / refinement
-                    for j in range(refinement):
-                        evr = evaluate_drift(drift, xr_next, m_grid)
-                        xr_next = _update(
-                            xr_next, evr, sub, decay_ref, fine[j, :n], use_tamed,
-                            t + j * sub,
-                        )
-            except BlowUpError as exc:
-                for k, _, _, _ in movers:
-                    results[k] = exc
-                continue
+            x_next = _update(
+                x_m,
+                drift_m,
+                tau,
+                decay,
+                np.array([coarse[:n] for _, coarse in draws]),
+                projected,
+                weight,
+            )
+            # A row's first non-finite state ends it, with its time and sup.
+            blown = {}
+            for q in _not_finite(x_next):
+                blown[q] = BlowUpError(t, sups_m[q])
+            xr_next = xr_m
+            if track_reference:
+                sub = tau / refinement
+                for j in range(refinement):
+                    evr = evaluate_drift(drift, xr_next, m_grid)
+                    xr_next = _update(
+                        xr_next,
+                        evr.coeffs,
+                        sub,
+                        decay_ref,
+                        np.array([fine[j, :n] for fine, _ in draws]),
+                        evr.projected_norm if use_tamed else None,
+                    )
+                    for q in _not_finite(xr_next):
+                        if q not in blown:
+                            blown[q] = BlowUpError(t + j * sub, evr.state_sup[q])
+            if blown:
+                for q, exc in blown.items():
+                    i, _, members = movers[q]
+                    for k, _, _, _ in members:
+                        results[i][k] = exc
+                keep = [q for q in range(len(movers)) if q not in blown]
+                if not keep:
+                    continue
+                movers = [movers[q] for q in keep]
+                x_next, xr_next = x_next[keep], xr_next[keep]
             if not final:
                 live.append((movers, x_next, xr_next, t + tau, steps + 1, step))
                 continue
-            final_field = SpectralField(x_next)
-            reference_final = SpectralField(xr_next) if track_reference else None
-            end_l2 = float(np.linalg.norm(x_next))
-            end_sup = float(np.max(np.abs(coeffs_to_values(x_next, m_grid))))
-            for k, _, summary, records in movers:
-                summary.max_l2 = max(summary.max_l2, end_l2)
-                summary.max_sup = max(summary.max_sup, end_sup)
-                results[k] = IntegrationResult(
-                    final_field, summary, records, reference_final
-                )
+            end_sup = np.abs(coeffs_to_values(x_next, m_grid)).max(axis=-1).tolist()
+            for q, (i, _, members) in enumerate(movers):
+                final_field = SpectralField(x_next[q])
+                reference_final = SpectralField(xr_next[q]) if track_reference else None
+                end_l2 = float(np.linalg.norm(x_next[q]))
+                for k, _, summary, records in members:
+                    summary.max_l2 = max(summary.max_l2, end_l2)
+                    summary.max_sup = max(summary.max_sup, end_sup[q])
+                    results[i][k] = IntegrationResult(
+                        final_field, summary, records, reference_final
+                    )
     return results

@@ -15,7 +15,7 @@ from allencahn.config import (
     render_config,
 )
 from allencahn.errors import ConfigError
-from allencahn.experiments import StudyConfig
+from allencahn.experiments import StudyConfig, convergence_study
 
 
 def temporal_cfg():
@@ -419,9 +419,18 @@ def test_cli_trace_uniform_scheme(tmp_path):
     lines = (out / "trace.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "path,step,t,tau,branch,norm_l2,norm_sup,norm_F"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 4
-    assert all(float(r[3]) == 0.25 for r in rows)
-    assert all(r[4] == "tamed-fallback" for r in rows)
+    # te steps at the study's te_h, the hybrid fallback min(tau_min, delta T)
+    # = 0.2, not at delta T = 0.25: five steps, the last clamped to T
+    assert len(rows) == 5
+    assert all(float(r[3]) == 0.2 for r in rows[:4])
+    assert all(r[4] == "tamed-fallback" for r in rows[:4])
+    assert rows[4][4] == "final-clamp"
+    assert float(rows[4][3]) == pytest.approx(0.2, abs=1e-15)
+    manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+    assert "cell=(te, type1, 0.25) h=0.2 steps=5" in manifest
+    cell = convergence_study(load_preset("smoke")).cell("te", "type1", 0.25)
+    assert cell.te_h == 0.2
+    assert cell.outcomes[0].steps == len(rows)
 
 
 def test_cli_trace_adaptive_scheme(tmp_path):

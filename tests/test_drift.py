@@ -148,6 +148,26 @@ def test_evaluation_matches_direct_synthesis(rng):
     assert ev.state_sup == pytest.approx(np.max(np.abs(v)), rel=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_block_evaluation_equals_row_by_row(rows, rng):
+    # one transform pair for the block; every array and norm of a row is
+    # bitwise that of the row's own evaluation
+    drift = CubicDrift(-1.0, 0.5, 1.0, 0.25)
+    block = rng.standard_normal((rows, 256)) / np.arange(1, 257)
+    ev = evaluate_drift(drift, block)
+    assert ev.m == fast_dealias_size(256)
+    for name in ("image_norm", "projected_norm", "state_sup"):
+        assert len(getattr(ev, name)) == rows
+    for i, row in enumerate(block):
+        alone = evaluate_drift(drift, row)
+        for name in ("grid_values", "image_values", "coeffs"):
+            assert np.array_equal(getattr(ev, name)[i], getattr(alone, name)), name
+        for name in ("image_norm", "projected_norm", "state_sup"):
+            got, want = getattr(ev, name)[i], getattr(alone, name)
+            assert type(got) is float and type(want) is float, name
+            assert np.array_equal(got, want), name
+
+
 def _random_pair(rng, n=16, sup_cap=5.0):
     def draw():
         coeffs = rng.standard_normal(n) / np.arange(1, n + 1)

@@ -30,7 +30,7 @@ from allencahn.experiments import (
 )
 from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import eigenvalues
-from allencahn.stepping import integrate, integrate_group
+from allencahn.stepping import integrate, integrate_block
 
 from conftest import direct_coeffs, direct_values
 
@@ -341,20 +341,27 @@ def test_temporal_study_runs_in_two_maps(monkeypatch):
     calls = []
     original = experiments._map
 
-    def counting(pool, task, args):
-        calls.append(len(args))
-        return original(pool, task, args)
+    def counting(pool, task, args, chunksize=4):
+        calls.append(([a[-1] for a in args], chunksize))
+        return original(pool, task, args, chunksize)
 
     monkeypatch.setattr(experiments, "_map", counting)
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2)
     cfg = small_config(
         schemes=("te", "ateu", "atea"), laws=("type1", "type2"),
         deltas=(0.25, 0.125), samples=3,
     )
     res = convergence_study(cfg)
-    # one group task per (delta level, sample), then one te task per
-    # distinct (delta level, te_h, sample)
+    # one group task per (delta level, block of samples), finest level
+    # first and one at a time per worker; then one te task per distinct
+    # (delta level, te_h, sample)
+    (blocks, group_chunks), (te_tasks, te_chunks) = calls
+    assert blocks == [(3, 4), (5,), (0, 1), (2,)]
+    assert group_chunks == 1
     te_paths = {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
-    assert calls == [2 * 3, len(te_paths) * 3]
+    assert len(te_tasks) == len(te_paths) * 3
+    assert all(len(paths) == 1 for paths in te_tasks)
+    assert te_chunks == 4
 
 
 def _napping(run, nap):
@@ -368,7 +375,8 @@ def _napping(run, nap):
 def test_cpu_seconds_is_the_cpu_time_of_the_cells_paths(monkeypatch):
     nap = 0.02
     monkeypatch.setattr(experiments, "integrate", _napping(integrate, nap))
-    monkeypatch.setattr(experiments, "integrate_group", _napping(integrate_group, nap))
+    monkeypatch.setattr(experiments, "integrate_block", _napping(integrate_block, nap))
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2)
     task_cpu = []
     timed = experiments._timed
 
@@ -386,8 +394,10 @@ def test_cpu_seconds_is_the_cpu_time_of_the_cells_paths(monkeypatch):
     for cell in res.cells:
         # one nap per task; wall time would include them
         assert 0.0 < cell.cpu_seconds < 0.5 * nap * cfg.samples, cell
-    # each task's CPU seconds are split among the cells it serves
-    assert len(task_cpu) == 2 * cfg.samples + len(
+    # a group task serves the (cell, sample) outcomes of its block of two
+    # samples or one, a te task those of one sample; its CPU seconds are
+    # split equally among them
+    assert len(task_cpu) == 2 * 2 + len(
         {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
     ) * cfg.samples
     assert math.fsum(c.cpu_seconds for c in res.cells) == pytest.approx(
@@ -449,6 +459,69 @@ def test_outcomes_carry_the_branch_mix(small_study):
     assert (stored.adaptive_steps, stored.fallback_steps, stored.clamp_steps) == (
         summary.adaptive_steps, summary.fallback_steps, summary.clamp_steps
     )
+
+
+def test_capped_ateu_below_tau_min_is_te_at_delta_t():
+    # Under a capped law (type1 -> au1, type4 -> au4) tau^delta <= delta T,
+    # so with delta T < tau_min ateu never adapts: every non-clamp step is
+    # a tamed fallback of length min(tau_min, delta T) = delta T, and the
+    # path is te's at h = delta T.  The repr differs only because te has
+    # no law, hence no max_bound_expr.  A fitted ateu slope over such
+    # levels is te's (see the README's acceptance section).
+    cfg = small_config(
+        schemes=("ateu",), laws=("type1", "type4"), deltas=(2.0**-3, 2.0**-4),
+        samples=4,
+    )
+    assert all(delta * cfg.horizon < cfg.tau_min for delta in cfg.deltas)
+    res = convergence_study(cfg)
+    for cell in res.cells:
+        for s, stored in enumerate(cell.outcomes):
+            assert stored.adaptive_steps == 0
+            assert stored.fallback_steps == stored.nonclamp_steps > 0
+            path = cfg.deltas.index(cell.delta) * cfg.samples + s
+            te = coupled_error_sample(
+                cfg, "te", cell.law, cell.delta, path, te_h=cell.delta * cfg.horizon
+            )
+            assert (stored.error, stored.steps) == (te.error, te.steps)
+
+
+def test_block_tasks_give_single_path_outcomes():
+    # blocks of 8 and 3 samples per level: every outcome of a block task is
+    # its variant's own single-path sample
+    cfg = small_config(
+        schemes=("ateu", "atea"), laws=("type1", "type3"),
+        deltas=(2.0**-2, 2.0**-3), samples=11, n_modes=8,
+    )
+    assert experiments.BLOCK_ROWS == 8
+    res = convergence_study(cfg)
+    for cell in res.cells:
+        for s, stored in enumerate(cell.outcomes):
+            path = cfg.deltas.index(cell.delta) * cfg.samples + s
+            alone = coupled_error_sample(cfg, cell.scheme, cell.law, cell.delta, path)
+            assert repr(alone) == repr(stored)
+    assert sum(c.adaptive_steps for c in res.cells) > 0
+
+
+def test_te_paths_reach_experiments_integrate(monkeypatch):
+    # bench/tracer.py counts a study's work by wrapping
+    # experiments.integrate and divides by the steps it sees there; if no
+    # te path reached it, the traced benchmark would crash.  Delete this
+    # guard once the tracer counts at kernel seams (ROADMAP item 1).
+    kinds = []
+
+    def counting(*args, **kwargs):
+        kinds.append(args[0].kind)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", counting)
+    cfg = small_config(samples=3)
+    res = convergence_study(cfg)
+    te_paths = {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
+    assert kinds.count("te") >= len(te_paths) * cfg.samples > 0
+    kinds.clear()
+    cfg = spatial_config()
+    convergence_study(cfg)
+    assert kinds.count("te") >= (len(cfg.spatial_modes) + 1) * cfg.samples
 
 
 def test_spatial_study_sweep():

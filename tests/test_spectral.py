@@ -121,6 +121,22 @@ def test_dst_bitwise_equal_to_scipy_fft():
             assert np.array_equal(spectral.dst(x, type=1), fft_dst(x, type=1)), m
 
 
+@pytest.mark.parametrize("rows", [1, 3, 8])
+@pytest.mark.parametrize("n", [16, 256])
+def test_block_transforms_equal_row_by_row(rows, n):
+    # a (rows, N) block transforms along the last axis, each row bitwise as
+    # its own call, on the drift grid 4N - 1 and the Lp grid 2N
+    rng = np.random.default_rng(rows * n)
+    block = rng.standard_normal((rows, n))
+    for m in (4 * n - 1, 2 * n):
+        values = coeffs_to_values(block, m)
+        back = values_to_coeffs(values, n)
+        assert values.shape == (rows, m) and back.shape == (rows, n)
+        for row, v, b in zip(block, values, back):
+            assert np.array_equal(v, coeffs_to_values(row, m))
+            assert np.array_equal(b, values_to_coeffs(v, n))
+
+
 def test_transform_dimension_errors():
     with pytest.raises(ValueError):
         coeffs_to_values(np.ones(5), 4)
@@ -129,6 +145,11 @@ def test_transform_dimension_errors():
         values_to_coeffs(values, 4)
     with pytest.raises(ValueError):
         values_to_coeffs(values, 0)
+    # a block's mode count is its row length, not its size
+    with pytest.raises(ValueError):
+        coeffs_to_values(np.ones((2, 5)), 4)
+    with pytest.raises(ValueError):
+        values_to_coeffs(np.ones((8, 3)), 4)
 
 
 @settings(max_examples=60, deadline=None)

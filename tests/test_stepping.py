@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from allencahn import stepping
 from allencahn.drift import CubicDrift, evaluate_drift
 from allencahn.errors import BlowUpError, RunawayPartitionError
 from allencahn.noise import NoiseSpec, NoiseStream
@@ -15,7 +16,9 @@ from allencahn.stepping import (
     Scheme,
     TimestepLaw,
     compute_timestep,
+    _l4_l6,
     integrate,
+    integrate_block,
     integrate_group,
 )
 
@@ -601,3 +604,108 @@ def test_group_raises_its_members_runaway():
     )
     finished = integrate_group(schemes[:1], e1(), 1.0, stream(), CUBIC, step_ceiling=5)
     assert finished[0].summary.steps == 4
+
+
+# ---------------------------------------------------------------------------
+# a block of sample paths against each path's own integrate_group run
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_block_l4_l6_equal_row_by_row(rows):
+    rng = np.random.default_rng(rows)
+    block = rng.standard_normal((rows, 64)) / np.arange(1, 65)
+    norms = _l4_l6(block)
+    assert len(norms) == rows
+    for row, (l4, l6) in zip(block, norms):
+        assert (l4, l6) == _l4_l6(row[None])[0]
+        field = SpectralField(row)
+        assert (l4, l6) == (lp_norm(field, 4), lp_norm(field, 6))
+
+
+def _block_equals_rows(schemes, initial, streams, monkeypatch, **kw):
+    """Asserts the block oracle; returns the block and its drift evaluation count."""
+    evaluations = []
+    original = stepping.evaluate_drift
+
+    def counting(drift, coeffs, m=None):
+        evaluations.append(coeffs.shape)
+        return original(drift, coeffs, m)
+
+    monkeypatch.setattr(stepping, "evaluate_drift", counting)
+    block = integrate_block(
+        schemes, initial, 1.0, streams, CUBIC, collect_records=True, **kw
+    )
+    monkeypatch.setattr(stepping, "evaluate_drift", original)
+    assert len(block) == len(streams)
+    for noise, row in zip(streams, block):
+        alone = integrate_group(
+            schemes, initial, 1.0, noise, CUBIC, collect_records=True, **kw
+        )
+        assert [_fingerprint(run) for run in row] == [
+            _fingerprint(run) for run in alone
+        ]
+    return block, evaluations
+
+
+def test_block_that_never_splits_evaluates_once_per_substep(monkeypatch):
+    # every law of every row falls back at every step: eight group steps,
+    # each one drift evaluation of all four rows and two of the reference
+    schemes = [
+        _hybrid("ateu", "au1", tau_min=0.2),
+        _hybrid("ateu", "au3", tau_min=0.2),
+        _hybrid("atea", "aa3", tau_min=0.2),
+    ]
+    streams = [stream(seed=s, path=p) for s, p in ((1, 0), (1, 1), (2, 0), (3, 7))]
+    block, evaluations = _block_equals_rows(
+        schemes, e1(), streams, monkeypatch, refinement=2
+    )
+    assert {_branches(run) for row in block for run in row} == {"t" * 8}
+    assert evaluations == [(4, 8)] * (8 * 3)
+
+
+def test_block_row_turns_adaptive_while_the_others_fall_back(monkeypatch):
+    # au3 at delta = 1/4 adapts while ||f(X)|| <= 0.18: the noise-free row
+    # keeps adapting, the noisy rows fall back once noise kicks their state;
+    # au1 falls back throughout
+    schemes = [_hybrid("ateu", "au3", 0.25, 0.2), _hybrid("ateu", "au1", 0.25, 0.2)]
+    small = SpectralField(np.array([0.1] + [0.0] * 7))
+    streams = [stream(seed=4, scale=3.0), stream(scale=0.0), stream(seed=5, scale=3.0)]
+    block, evaluations = _block_equals_rows(
+        schemes, small, streams, monkeypatch, refinement=3
+    )
+    au3 = [_branches(row[0]) for row in block]
+    assert au3[1] == "aaaaf"
+    assert au3[2].startswith("at") and "t" in au3[0]
+    assert {_branches(row[1]) for row in block} == {"ttttf"}
+    # the first step is shared by all three rows; after it they split
+    assert evaluations[0] == (3, 8)
+    assert (1, 8) in evaluations
+
+
+@pytest.mark.parametrize("refinement", [1, 2])
+def test_block_row_blows_up_while_the_others_complete(monkeypatch, refinement):
+    # a huge noise scale blows one row up, in its coarse path (r = 1) or in
+    # its reference (r = 2); the rows beside it run to the horizon
+    schemes = [ae(0.1), Scheme("te", h=0.1)]
+    streams = [stream(seed=1), stream(seed=2, scale=1e200), stream(seed=3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        block, _ = _block_equals_rows(
+            schemes, e1(), streams, monkeypatch, refinement=refinement
+        )
+    assert all(isinstance(run, BlowUpError) for run in block[1])
+    for row in (block[0], block[2]):
+        for run in row:
+            last = run.records[-1]
+            assert last.branch == CLAMP and last.t + last.tau == 1.0
+
+
+def test_block_raises_its_rows_runaway():
+    schemes = [Scheme("te", h=0.1)]
+    streams = [stream(seed=s) for s in range(3)]
+    with pytest.raises(RunawayPartitionError) as alone:
+        integrate_group(schemes, e1(), 1.0, streams[0], CUBIC, step_ceiling=5)
+    with pytest.raises(RunawayPartitionError) as blocked:
+        integrate_block(schemes, e1(), 1.0, streams, CUBIC, step_ceiling=5)
+    assert (blocked.value.steps, blocked.value.time) == (
+        alone.value.steps, alone.value.time
+    )

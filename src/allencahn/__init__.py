@@ -39,10 +39,8 @@ from .stepping import (
     Scheme,
     StepRecord,
     TimestepLaw,
-    compute_timestep,
     integrate,
     integrate_block,
-    integrate_group,
 )
 from .validation import run_validation
 
@@ -67,7 +65,6 @@ __all__ = [
     "apply_drift",
     "apply_fractional_power",
     "apply_semigroup",
-    "compute_timestep",
     "convergence_study",
     "coupled_error_sample",
     "drift_l2_norm",
@@ -78,7 +75,6 @@ __all__ = [
     "inner_product_x_f",
     "integrate",
     "integrate_block",
-    "integrate_group",
     "l2_norm",
     "load_config",
     "load_preset",

@@ -279,20 +279,25 @@ def _outcome(coarse, reference) -> SampleOutcome:
     )
 
 
-def _spatial_reference(
-    cfg: StudyConfig, scheme: Scheme, stream: NoiseStream, n_ref: int
-):
-    """Final coefficients of the n_ref-mode reference path, or its blow-up time."""
-    ref = _run_path(cfg, scheme, stream, n_ref, exact_convolution=True)
-    return ref if isinstance(ref, float) else ref.final.coeffs
+def _spatial_outcomes(cfg, scheme, n_ref, modes, paths) -> list[list[SampleOutcome]]:
+    """Per path, the outcome of the path at each mode count in `modes`
+    against its n_ref-mode reference.
 
-
-def _spatial_sample(
-    cfg: StudyConfig, scheme: Scheme, stream: NoiseStream, n: int, reference
-) -> SampleOutcome:
-    """The n-mode path on the reference's partition and increments, compared with it."""
-    coarse = _run_path(cfg, scheme, stream, n, exact_convolution=True)
-    return _outcome(coarse, reference)
+    All resolutions of a path share its partition and one n_ref-mode
+    stream, so every mode takes the same increments at every resolution;
+    the reference is integrated once per path.
+    """
+    outcomes = []
+    for path in paths:
+        stream = _stream(cfg, path, n_ref)
+        ref = _run_path(cfg, scheme, stream, n_ref, exact_convolution=True)
+        if not isinstance(ref, float):
+            ref = ref.final.coeffs
+        outcomes.append([
+            _outcome(_run_path(cfg, scheme, stream, n, exact_convolution=True), ref)
+            for n in modes
+        ])
+    return outcomes
 
 
 def coupled_error_sample(
@@ -313,8 +318,9 @@ def coupled_error_sample(
     same te scheme at `reference_modes` on the same uniform partition: both
     resolutions take the exact-convolution noise form and the same per-mode
     increments, one per step, so the error is the spatial truncation alone
-    and `refinement` is not used.  A spatial `convergence_study` makes the
-    same two calls, with the reference shared by every swept mode count.
+    and `refinement` is not used.  A spatial `convergence_study` runs the
+    same `_spatial_outcomes`, with the reference shared by every swept
+    mode count.
 
     Divergent paths are reported, not raised; they carry the blow-up time
     and count as excluded in the cell aggregation.
@@ -325,9 +331,7 @@ def coupled_error_sample(
         if scheme_kind != "te":
             raise ValueError("a spatial sample needs the uniform te partition")
         n_ref = reference_modes if reference_modes is not None else n
-        stream = _stream(cfg, path, max(n, n_ref))
-        reference = _spatial_reference(cfg, scheme, stream, n_ref)
-        return _spatial_sample(cfg, scheme, stream, n, reference)
+        return _spatial_outcomes(cfg, scheme, n_ref, (n,), (path,))[0][0]
     if reference_modes is not None:
         raise ValueError("reference_modes applies to spatial samples only")
     res = _run_path(
@@ -608,6 +612,47 @@ def spearman_rho(x, y) -> float:
     return float(np.corrcoef(rx, ry)[1, 0])
 
 
+def _wave(cfg, pool, task, jobs, rows, chunksize) -> list[CellResult]:
+    """The cells of jobs (cell keys, delta level i, task args), in key order.
+
+    A job runs task(cfg, *args, paths) on blocks of up to `rows` of level
+    i's paths, sample s at level i being path i * samples + s; a task
+    gives, per path, one outcome per key or one outcome shared by all
+    keys.  Every task of the wave goes in one map.  A task's CPU seconds
+    are split equally among the (cell, sample) outcomes it serves, so the
+    cells' cpu_seconds sum to the tasks' CPU seconds.
+    """
+    samples = cfg.samples
+    tasks = [
+        (j, range(s, min(s + rows, samples)))
+        for j in range(len(jobs))
+        for s in range(0, samples, rows)
+    ]
+    timed = _map(
+        pool,
+        task,
+        [
+            (cfg, *jobs[j][2], tuple(jobs[j][1] * samples + s for s in block))
+            for j, block in tasks
+        ],
+        chunksize,
+    )
+    collected = [[[] for _ in keys] for keys, _, _ in jobs]
+    for (j, block), (outs, cpu) in zip(tasks, timed):
+        keys = jobs[j][0]
+        share = cpu / (len(keys) * len(block))
+        for out in outs:
+            if isinstance(out, SampleOutcome):
+                out = [out] * len(keys)
+            for cell_block, o in zip(collected[j], out):
+                cell_block.append((o, share))
+    return [
+        _cell(key, block)
+        for (keys, _, _), blocks in zip(jobs, collected)
+        for key, block in zip(keys, blocks)
+    ]
+
+
 BLOCK_ROWS = 8  # sample paths per adaptive task; see `_temporal_cells`
 
 
@@ -616,7 +661,7 @@ def _temporal_cells(
 ) -> list[CellResult]:
     """The (scheme, law, delta) grid, in scheme, law, delta order.
 
-    Sample s at delta level i is path i * samples + s.  A first map runs
+    Sample s at delta level i is path i * samples + s.  A first wave runs
     one task per (level, block of up to BLOCK_ROWS samples), finest level
     first, one task at a time per worker: every adaptive (scheme, law)
     variant of the level on every path of the block as one
@@ -624,52 +669,16 @@ def _temporal_cells(
     points one transform of the block costs about half as much per row as
     a single one; the saving shrinks from 32 rows on.  The te baseline
     matches its uniform step to the realized mean adaptive step count, so
-    a second map runs the te paths, one task per distinct (level, te_h,
-    sample): te cells of a level with equal te_h share those outcomes.  A
-    task's CPU seconds are split equally among the (cell, sample) outcomes
-    it serves, so the cells' cpu_seconds sum to the tasks' CPU seconds.
+    a second wave runs the te paths, one task per distinct (level, te_h,
+    sample): te cells of a level with equal te_h share those outcomes.
     """
-    samples = cfg.samples
     cells: dict[tuple[str, str, float], CellResult] = {}
-
-    def wave(task, jobs, rows, chunksize):
-        """Adds the cells of jobs (cell keys, delta level i, task args).
-
-        A job runs task(cfg, *args, paths) on blocks of up to `rows` of
-        level i's paths; a task gives, per path, one outcome per key or
-        one outcome shared by all keys.
-        """
-        tasks = [
-            (j, range(s, min(s + rows, samples)))
-            for j in range(len(jobs))
-            for s in range(0, samples, rows)
-        ]
-        timed = _map(
-            pool,
-            task,
-            [
-                (cfg, *jobs[j][2], tuple(jobs[j][1] * samples + s for s in block))
-                for j, block in tasks
-            ],
-            chunksize,
-        )
-        collected = [[[] for _ in keys] for keys, _, _ in jobs]
-        for (j, block), (outs, cpu) in zip(tasks, timed):
-            keys = jobs[j][0]
-            share = cpu / (len(keys) * len(block))
-            for out in outs:
-                if isinstance(out, SampleOutcome):
-                    out = [out] * len(keys)
-                for cell_block, o in zip(collected[j], out):
-                    cell_block.append((o, share))
-        for (keys, _, _), blocks in zip(jobs, collected):
-            for key, block in zip(keys, blocks):
-                cells[key[:3]] = _cell(key, block)
-
     levels = list(enumerate(cfg.deltas))
     variants = [(sk, lt) for sk in cfg.schemes if sk != "te" for lt in cfg.laws]
     if variants:
-        wave(
+        for cell in _wave(
+            cfg,
+            pool,
             _adaptive_outcomes,
             [
                 (
@@ -681,7 +690,8 @@ def _temporal_cells(
             ],
             BLOCK_ROWS,
             1,
-        )
+        ):
+            cells[cell.scheme, cell.law, cell.delta] = cell
     if "te" in cfg.schemes:
         shared: dict[tuple[int, float], list] = {}
         for law_token in cfg.laws:
@@ -695,12 +705,15 @@ def _temporal_cells(
                 shared.setdefault((i, te_h), []).append(
                     ("te", law_token, delta, te_h, cfg.n_modes)
                 )
-        wave(
+        for cell in _wave(
+            cfg,
+            pool,
             _te_outcomes,
             [(keys, i, (cfg.deltas[i], te_h)) for (i, te_h), keys in shared.items()],
             1,
             4,
-        )
+        ):
+            cells[cell.scheme, cell.law, cell.delta] = cell
     return [
         cells[(s, l, d)]
         for s in cfg.schemes
@@ -722,37 +735,17 @@ def _spatial_cells(
     receives almost no noise, and the error would collapse instead of
     showing the truncated noise tail.  `refinement` is not used.
 
-    Each sample's reference is integrated once, in a first map, and
-    compared with every swept mode count in a second; a cell's cpu_seconds
-    covers its own mode count's runs only.
+    One wave runs one task per sample (`_spatial_outcomes`): its reference
+    once, then every swept mode count against it.  As in a temporal study,
+    a task's CPU seconds are split equally among the cells it serves.
     """
     delta = cfg.deltas[0]
     law_token = cfg.laws[0]
     te_h = delta * cfg.horizon
     scheme = make_scheme(cfg, "te", law_token, delta, te_h)
-    n_ref = cfg.spatial_reference
-    # n_ref exceeds every swept count, so one n_ref-mode stream serves all.
-    streams = [_stream(cfg, s, n_ref) for s in range(cfg.samples)]
-    references = [
-        ref
-        for ref, _ in _map(
-            pool, _spatial_reference, [(cfg, scheme, st, n_ref) for st in streams]
-        )
-    ]
-    timed = _map(
-        pool,
-        _spatial_sample,
-        [
-            (cfg, scheme, st, n, ref)
-            for n in cfg.spatial_modes
-            for st, ref in zip(streams, references)
-        ],
-    )
-    samples = cfg.samples
-    return [
-        _cell(("te", law_token, delta, te_h, n), timed[k * samples : (k + 1) * samples])
-        for k, n in enumerate(cfg.spatial_modes)
-    ]
+    keys = [("te", law_token, delta, te_h, n) for n in cfg.spatial_modes]
+    job = (keys, 0, (scheme, cfg.spatial_reference, cfg.spatial_modes))
+    return _wave(cfg, pool, _spatial_outcomes, [job], 1, 1)
 
 
 def convergence_study(cfg: StudyConfig) -> StudyResult:

@@ -144,5 +144,9 @@ def lp_norm(field: SpectralField, p: int, m: int | None = None) -> float:
         m = 2 * n
     if m < 2 * n:
         raise ValueError(f"quadrature grid m={m} must be at least 2N={2 * n}")
-    vals = coeffs_to_values(field.coeffs, m)
-    return float(((vals**p).sum() / (m + 1)) ** (1.0 / p))
+    return lp_quadrature(coeffs_to_values(field.coeffs, m), p)
+
+
+def lp_quadrature(values: np.ndarray, p: int) -> float:
+    """((1/(M+1)) sum_k v_k^p)^(1/p) of a field's values v on the M interior points."""
+    return float(((values**p).sum() / (values.size + 1)) ** (1.0 / p))

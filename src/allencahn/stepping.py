@@ -30,7 +30,7 @@ import numpy as np
 from .drift import CubicDrift, evaluate_drift, fast_dealias_size
 from .errors import BlowUpError, RunawayPartitionError
 from .noise import NoiseStream
-from .spectral import SpectralField, coeffs_to_values, eigenvalues
+from .spectral import SpectralField, coeffs_to_values, eigenvalues, lp_quadrature
 
 ADAPTIVE = "adaptive"
 FALLBACK = "tamed-fallback"
@@ -199,33 +199,15 @@ class IntegrationResult:
     reference_final: SpectralField | None = None
 
 
-def _lp_from_values(values: np.ndarray, m: int, p: int) -> float:
-    return float(((values**p).sum() / (m + 1)) ** (1.0 / p))
-
-
 def _l4_l6(coeffs: np.ndarray) -> list[tuple[float, float]]:
     """The L4 and L6 norms of each row of a (rows, N) state block, for the aa laws.
 
-    One transform serves the block; each row's sums are its own, so a row
-    gets the norms of its own one-row call bit for bit.
+    Quadrature on the M = 2N grid, exact for band-limited states.  One
+    transform serves the block; each row's sums are its own, so a row gets
+    the norms of its own one-row call bit for bit.
     """
-    m = 2 * coeffs.shape[-1]
-    vals = coeffs_to_values(coeffs, m)
-    return [(_lp_from_values(v, m, 4), _lp_from_values(v, m, 6)) for v in vals]
-
-
-def compute_timestep(
-    law: TimestepLaw, coeffs: np.ndarray, l2: float, drift_norm: float
-) -> float:
-    """tau^delta at the state `coeffs`, given its L2 norm and drift norm.
-
-    Both norms come from the step's drift evaluation, so the law costs no
-    extra drift call; the aa families add the L4/L6 norms by quadrature on
-    the M = 2N grid, exact for band-limited states.
-    """
-    if not law.needs_lp_norms:
-        return law.value(l2, drift_norm)
-    return law.value(l2, drift_norm, *_l4_l6(coeffs[None])[0])
+    vals = coeffs_to_values(coeffs, 2 * coeffs.shape[-1])
+    return [(lp_quadrature(v, 4), lp_quadrature(v, 6)) for v in vals]
 
 
 def _select_branch(
@@ -321,14 +303,14 @@ def integrate(
     clamped steps are tagged final-clamp and excluded from the low-bound
     bookkeeping in the summary.
 
-    This is the one-scheme call of `integrate_group`; a blow-up raises
-    `BlowUpError`.
+    This is the one-scheme, one-row call of `integrate_block`: a blow-up
+    raises `BlowUpError`, a runaway partition `RunawayPartitionError`.
     """
-    (result,) = integrate_group(
+    ((result,),) = integrate_block(
         [scheme],
         initial,
         horizon,
-        stream,
+        [stream],
         drift,
         refinement=refinement,
         step_ceiling=step_ceiling,
@@ -339,25 +321,6 @@ def integrate(
     if isinstance(result, BlowUpError):
         raise result
     return result
-
-
-def integrate_group(
-    schemes: Sequence[Scheme],
-    initial: SpectralField,
-    horizon: float,
-    stream: NoiseStream,
-    drift: CubicDrift,
-    **kwargs,
-) -> list[IntegrationResult | BlowUpError]:
-    """`integrate` of every scheme on one sample path, sharing equal steps.
-
-    Returns one entry per scheme, in order: its `IntegrationResult`, or the
-    `BlowUpError` its own `integrate` call would raise.  Each entry equals
-    that call's result bit for bit.  This is the one-row call of
-    `integrate_block`, which takes the same keyword arguments.
-    """
-    (row,) = integrate_block(schemes, initial, horizon, [stream], drift, **kwargs)
-    return row
 
 
 def integrate_block(
@@ -373,10 +336,11 @@ def integrate_block(
     projected_drift_norm: bool = False,
     exact_convolution: bool = False,
 ) -> list[list[IntegrationResult | BlowUpError]]:
-    """`integrate_group` of the schemes on a block of sample paths, one per stream.
+    """`integrate` of every scheme on a block of sample paths, one per stream.
 
-    Returns one row per stream, in order, each equal bit for bit to that
-    stream's own `integrate_group` call.
+    Returns one row per stream, in order; a row holds one entry per scheme:
+    its `IntegrationResult`, or the `BlowUpError` its own `integrate` call
+    would raise.  Each entry equals that call's result bit for bit.
 
     A row is one sample path: its own noise stream, coarse and reference
     state, and members (the schemes, each with its own summary and
@@ -390,8 +354,9 @@ def integrate_block(
     whose members move differently splits, and the parts never meet again.
     A row that blows up ends its members there; the other rows go on.
 
-    A member whose partition runs away (see `integrate`) raises
-    `RunawayPartitionError` for the whole block.
+    A member whose partition runs away raises `RunawayPartitionError` for
+    the whole block: its step length is not positive or does not advance
+    t, or its group reaches `step_ceiling` steps.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")

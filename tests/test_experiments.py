@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from allencahn import experiments
+from allencahn import experiments, stepping
 from allencahn.drift import fast_dealias_size
 from allencahn.errors import ConfigError, RunawayPartitionError, StudyError
 from allencahn.experiments import (
@@ -386,23 +386,30 @@ def test_cpu_seconds_is_the_cpu_time_of_the_cells_paths(monkeypatch):
         return out, cpu
 
     monkeypatch.setattr(experiments, "_timed", recording)
-    cfg = small_config(
+    temporal = small_config(
         n_modes=8, deltas=(0.5, 0.25), samples=3, schemes=("te", "ateu", "atea")
     )
-    res = convergence_study(cfg)
-    assert {c.scheme for c in res.cells} == {"te", "ateu", "atea"}
-    for cell in res.cells:
-        # one nap per task; wall time would include them
-        assert 0.0 < cell.cpu_seconds < 0.5 * nap * cfg.samples, cell
-    # a group task serves the (cell, sample) outcomes of its block of two
-    # samples or one, a te task those of one sample; its CPU seconds are
-    # split equally among them
-    assert len(task_cpu) == 2 * 2 + len(
-        {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
-    ) * cfg.samples
-    assert math.fsum(c.cpu_seconds for c in res.cells) == pytest.approx(
-        math.fsum(task_cpu), rel=1e-12
-    )
+    for cfg in (temporal, spatial_config()):
+        task_cpu.clear()
+        res = convergence_study(cfg)
+        for cell in res.cells:
+            # at least one nap per task; wall time would include them
+            assert 0.0 < cell.cpu_seconds < 0.5 * nap * cfg.samples, cell
+        if cfg.kind == "temporal":
+            assert {c.scheme for c in res.cells} == {"te", "ateu", "atea"}
+            # a group task serves the (cell, sample) outcomes of its block
+            # of two samples or one, a te task those of one sample
+            tasks = 2 * 2 + len(
+                {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
+            ) * cfg.samples
+        else:
+            # a spatial task serves one sample of every swept-N cell
+            tasks = cfg.samples
+        # a task's CPU seconds are split equally among the outcomes it serves
+        assert len(task_cpu) == tasks
+        assert math.fsum(c.cpu_seconds for c in res.cells) == pytest.approx(
+            math.fsum(task_cpu), rel=1e-12
+        )
 
 
 def test_te_cells_with_equal_step_share_their_paths(monkeypatch):
@@ -524,6 +531,23 @@ def test_te_paths_reach_experiments_integrate(monkeypatch):
     assert kinds.count("te") >= (len(cfg.spatial_modes) + 1) * cfg.samples
 
 
+def test_aa_laws_reach_stepping_coeffs_to_values(monkeypatch):
+    # bench/tracer.py counts the aa laws' Lp norms by wrapping
+    # stepping.coeffs_to_values and telling them from the final sup by
+    # the grid size m = 2N
+    grids = []
+    original = stepping.coeffs_to_values
+
+    def recording(coeffs, m):
+        grids.append((coeffs.shape[-1], m))
+        return original(coeffs, m)
+
+    monkeypatch.setattr(stepping, "coeffs_to_values", recording)
+    cfg = small_config(schemes=("atea",), laws=("type3",), samples=3)
+    convergence_study(cfg)
+    assert (cfg.n_modes, 2 * cfg.n_modes) in grids
+
+
 def test_spatial_study_sweep():
     cfg = StudyConfig(
         kind="spatial",
@@ -614,6 +638,23 @@ def test_spatial_study_needs_uniform_partition():
 def test_spatial_study_rejects_temporal_config():
     with pytest.raises(ConfigError):
         spatial_study(small_config())
+
+
+def test_spatial_study_runs_in_one_map(monkeypatch):
+    calls = []
+    original = experiments._map
+
+    def counting(pool, task, args, chunksize=4):
+        calls.append((task, [a[-1] for a in args]))
+        return original(pool, task, args, chunksize)
+
+    monkeypatch.setattr(experiments, "_map", counting)
+    cfg = spatial_config()
+    convergence_study(cfg)
+    # one task per sample: its reference, then every swept mode count
+    assert calls == [
+        (experiments._spatial_outcomes, [(s,) for s in range(cfg.samples)])
+    ]
 
 
 def test_spatial_reference_is_integrated_once_per_sample(monkeypatch):
@@ -726,6 +767,13 @@ def test_import_leaves_scipy_stats_out():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_exports_resolve():
+    import allencahn
+
+    missing = [name for name in allencahn.__all__ if not hasattr(allencahn, name)]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,9 @@ from allencahn.stepping import (
     FALLBACK,
     Scheme,
     TimestepLaw,
-    compute_timestep,
     _l4_l6,
     integrate,
     integrate_block,
-    integrate_group,
 )
 
 CUBIC = CubicDrift(-1.0, 0.0, 1.0)
@@ -45,7 +43,8 @@ def law_at(law, field, drift=CUBIC, projected=False):
     """tau^delta at a state, from the drift evaluation a step would make."""
     ev = evaluate_drift(drift, field.coeffs)
     drift_norm = ev.projected_norm if projected else ev.image_norm
-    return compute_timestep(law, field.coeffs, l2_norm(field), drift_norm)
+    lp = (lp_norm(field, 4), lp_norm(field, 6)) if law.needs_lp_norms else ()
+    return law.value(l2_norm(field), drift_norm, *lp)
 
 
 def one_step(scheme, field, tau, noise=None):
@@ -516,8 +515,8 @@ def _group_equals_members(schemes, initial, noise, monkeypatch, **kw):
         return original(self, step, dt, r)
 
     monkeypatch.setattr(NoiseStream, "increments", counting)
-    group = integrate_group(
-        schemes, initial, 1.0, noise, CUBIC, collect_records=True, **kw
+    (group,) = integrate_block(
+        schemes, initial, 1.0, [noise], CUBIC, collect_records=True, **kw
     )
     monkeypatch.setattr(NoiseStream, "increments", original)
     assert len(group) == len(schemes)
@@ -598,16 +597,18 @@ def test_group_raises_its_members_runaway():
     with pytest.raises(RunawayPartitionError) as alone:
         integrate(schemes[1], e1(), 1.0, stream(), CUBIC, step_ceiling=5)
     with pytest.raises(RunawayPartitionError) as grouped:
-        integrate_group(schemes, e1(), 1.0, stream(), CUBIC, step_ceiling=5)
+        integrate_block(schemes, e1(), 1.0, [stream()], CUBIC, step_ceiling=5)
     assert (grouped.value.steps, grouped.value.time) == (
         alone.value.steps, alone.value.time
     )
-    finished = integrate_group(schemes[:1], e1(), 1.0, stream(), CUBIC, step_ceiling=5)
-    assert finished[0].summary.steps == 4
+    ((finished,),) = integrate_block(
+        schemes[:1], e1(), 1.0, [stream()], CUBIC, step_ceiling=5
+    )
+    assert finished.summary.steps == 4
 
 
 # ---------------------------------------------------------------------------
-# a block of sample paths against each path's own integrate_group run
+# a block of sample paths against each path's own one-row block
 
 
 @pytest.mark.parametrize("rows", [1, 3, 8])
@@ -638,8 +639,8 @@ def _block_equals_rows(schemes, initial, streams, monkeypatch, **kw):
     monkeypatch.setattr(stepping, "evaluate_drift", original)
     assert len(block) == len(streams)
     for noise, row in zip(streams, block):
-        alone = integrate_group(
-            schemes, initial, 1.0, noise, CUBIC, collect_records=True, **kw
+        (alone,) = integrate_block(
+            schemes, initial, 1.0, [noise], CUBIC, collect_records=True, **kw
         )
         assert [_fingerprint(run) for run in row] == [
             _fingerprint(run) for run in alone
@@ -703,7 +704,7 @@ def test_block_raises_its_rows_runaway():
     schemes = [Scheme("te", h=0.1)]
     streams = [stream(seed=s) for s in range(3)]
     with pytest.raises(RunawayPartitionError) as alone:
-        integrate_group(schemes, e1(), 1.0, streams[0], CUBIC, step_ceiling=5)
+        integrate_block(schemes, e1(), 1.0, streams[:1], CUBIC, step_ceiling=5)
     with pytest.raises(RunawayPartitionError) as blocked:
         integrate_block(schemes, e1(), 1.0, streams, CUBIC, step_ceiling=5)
     assert (blocked.value.steps, blocked.value.time) == (

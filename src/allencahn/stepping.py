@@ -96,7 +96,12 @@ class TimestepLaw:
         l4: float | None = None,
         l6: float | None = None,
     ) -> float:
-        """The underlying (unrefined) timestep function tau(X)."""
+        """The underlying (unrefined) timestep function tau(X).
+
+        An aa law takes the min of an Lp term and a drift term.  With `l4`
+        and `l6` omitted it returns the drift term alone, an upper bound on
+        its value.
+        """
         phi = self.phi
         fam = self.family
         if fam in ("au1", "au2"):
@@ -107,15 +112,11 @@ class TimestepLaw:
             # The +3 regularisation is part of this law's definition.
             return (1.0 / (drift_norm + 3.0)) ** _FOUR_THIRDS
         if fam in ("aa1", "aa2"):
-            return min(
-                2.0 * l4**4 / (l6**6 + phi),
-                (l2 / (drift_norm + phi)) ** _FOUR_THIRDS,
-            )
+            ratio = (l2 / (drift_norm + phi)) ** _FOUR_THIRDS
+            return ratio if l4 is None else min(2.0 * l4**4 / (l6**6 + phi), ratio)
         if fam == "aa3":
-            return min(
-                l2**2 / (l6**6 + phi),
-                (1.0 / (drift_norm + phi)) ** _FOUR_THIRDS,
-            )
+            ratio = (1.0 / (drift_norm + phi)) ** _FOUR_THIRDS
+            return ratio if l6 is None else min(l2**2 / (l6**6 + phi), ratio)
         if fam == "uniform":
             return self.fixed_step
         raise AssertionError(fam)
@@ -127,7 +128,13 @@ class TimestepLaw:
         l4: float | None = None,
         l6: float | None = None,
     ) -> float:
-        """The refined timestep tau^delta(X) from precomputed state norms."""
+        """The refined timestep tau^delta(X) from precomputed state norms.
+
+        With `l4` and `l6` omitted, an aa law gives the refined value of its
+        drift term alone.  The cap and the scaling by delta are monotone in
+        floating point too, so that value is never below the one the norms
+        give: where it fails a branch test, the full value fails it too.
+        """
         base = self.base_value(l2, drift_norm, l4, l6)
         fam = self.family
         if fam in ("au1", "aa1", "au4"):
@@ -346,13 +353,18 @@ def integrate_block(
     state, and members (the schemes, each with its own summary and
     records).  A live group is a block of rows that share the time and the
     step ordinal.  Each step of a group evaluates the drift of every row
-    with one transform pair, and the L4/L6 norms once a member's law needs
-    them; every member of every row then picks its own branch, step length
-    and final clamp.  The members that move alike, by (step length, tamed
-    update, final step), take that step together: one increment draw per
-    row, one coarse update of their rows and r reference substeps.  A group
-    whose members move differently splits, and the parts never meet again.
-    A row that blows up ends its members there; the other rows go on.
+    with one transform pair; with r > 1 that evaluation also holds every
+    row's reference state, for the first reference substep.  Every member
+    of every row then picks its own branch, step length and final clamp.
+    An aa law is first valued without its Lp term, an upper bound on its
+    value: the group's L4/L6 norms are computed, once, only when that bound
+    puts some member on the adaptive branch.  The members that move alike,
+    by (step length, tamed update, final step), take that step together:
+    one increment draw per row, one coarse update of their rows and r
+    reference substeps, r - 1 of them with a drift evaluation of their own.
+    A group whose members move differently splits, and the parts never
+    meet again.  A row that blows up ends its members there; the other
+    rows go on.
 
     A member whose partition runs away raises `RunawayPartitionError` for
     the whole block: its step length is not positive or does not advance
@@ -406,12 +418,18 @@ def integrate_block(
         if steps >= step_ceiling:
             raise RunawayPartitionError(steps, t)
 
-        ev = evaluate_drift(drift, x, m_grid)
+        if track_reference:
+            # The coarse state and the first reference substep's, in one
+            # evaluation of both blocks.
+            both = evaluate_drift(drift, np.concatenate((x, xr)), m_grid)
+            ev, ev_ref = both.take(slice(len(x))), both.take(slice(len(x), None))
+        else:
+            ev, ev_ref = evaluate_drift(drift, x, m_grid), None
         drift_norms = repeat(None)  # read by the laws and the records only
         if reads_drift_norm:
             drift_norms = ev.projected_norm if projected_drift_norm else ev.image_norm
         sups = ev.state_sup
-        lp = ()  # the L4/L6 norms of each row, once a member's law needs them
+        lp = ()  # the L4/L6 norms of each row, once a member's branch needs them
 
         # (step length, tamed, final) -> {row position in the group: members}
         moves: dict[tuple[float, bool, bool], dict[int, list]] = {}
@@ -425,10 +443,15 @@ def integrate_block(
                 if scheme.kind == "te":
                     branch, tau, use_tamed = FALLBACK, scheme.h, True
                 else:
-                    if not lp and law.needs_lp_norms:
-                        lp = _l4_l6(x)
-                    tau_m = law.value(l2, drift_norm, *(lp[pos] if lp else ()))
+                    # Without the norms an aa law's value is an upper bound:
+                    # if that falls back, so does the law.
+                    tau_m = law.value(l2, drift_norm)
                     branch, tau, use_tamed = _select_branch(scheme, tau_m, l2)
+                    if branch == ADAPTIVE and law.needs_lp_norms:
+                        if not lp:
+                            lp = _l4_l6(x)
+                        tau_m = law.value(l2, drift_norm, *lp[pos])
+                        branch, tau, use_tamed = _select_branch(scheme, tau_m, l2)
 
                 if tau <= 0 or t + tau == t:
                     raise RunawayPartitionError(steps, t)
@@ -463,6 +486,7 @@ def integrate_block(
             projected = ev.projected_norm if use_tamed else None
             if len(moves) == 1:  # every member of every row moves alike
                 movers, x_m, xr_m, drift_m, sups_m = rows, x, xr, ev.coeffs, sups
+                evr_m = ev_ref
             else:
                 pos = list(by_pos)
                 movers = [(rows[p][0], rows[p][1], by_pos[p]) for p in pos]
@@ -470,6 +494,8 @@ def integrate_block(
                 sups_m = [sups[p] for p in pos]
                 if use_tamed:
                     projected = [projected[p] for p in pos]
+                if track_reference:
+                    evr_m = ev_ref.take(pos)
             draws = [
                 stream.increments(steps, tau, refinement) for _, stream, _ in movers
             ]
@@ -492,7 +518,7 @@ def integrate_block(
             if track_reference:
                 sub = tau / refinement
                 for j in range(refinement):
-                    evr = evaluate_drift(drift, xr_next, m_grid)
+                    evr = evr_m if j == 0 else evaluate_drift(drift, xr_next, m_grid)
                     xr_next = _update(
                         xr_next,
                         evr.coeffs,

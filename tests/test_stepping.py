@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allencahn import stepping
 from allencahn.drift import CubicDrift, evaluate_drift
@@ -10,12 +12,14 @@ from allencahn.errors import BlowUpError, RunawayPartitionError
 from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import SpectralField, eigenvalues, l2_norm, lp_norm
 from allencahn.stepping import (
+    AA_FAMILIES,
     ADAPTIVE,
     CLAMP,
     FALLBACK,
     Scheme,
     TimestepLaw,
     _l4_l6,
+    _select_branch,
     integrate,
     integrate_block,
 )
@@ -159,6 +163,32 @@ def test_au5_is_an_alias_of_au3(rng):
         for l2, drift_norm in rng.exponential(3.0, size=(50, 2)):
             assert au5.base_value(l2, drift_norm) == au3.base_value(l2, drift_norm)
             assert au5.value(l2, drift_norm) == au3.value(l2, drift_norm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(AA_FAMILIES),
+    kind=st.sampled_from(("atea", "ateu", "ae")),
+    delta=st.sampled_from([2.0**-k for k in range(8)]),
+    tau_min=st.sampled_from((0.01, 0.2)),
+    l2=st.floats(0.0, 50.0),
+    drift_norm=st.floats(0.0, 1e4),
+    l4=st.floats(0.0, 50.0),
+    l6=st.floats(0.0, 50.0),
+)
+def test_aa_law_without_lp_norms_bounds_its_value(
+    family, kind, delta, tau_min, l2, drift_norm, l4, l6
+):
+    # the integrator skips the L4/L6 norms where the Lp-free value falls
+    # back; the law's own value must then fall back to the same step
+    law = TimestepLaw(family, delta, tau_min=tau_min)
+    scheme = Scheme(kind, law=law)
+    assert law.base_value(l2, drift_norm) >= law.base_value(l2, drift_norm, l4, l6)
+    free, full = law.value(l2, drift_norm), law.value(l2, drift_norm, l4, l6)
+    assert free >= full
+    branch = _select_branch(scheme, free, l2)
+    if branch[0] == FALLBACK:
+        assert _select_branch(scheme, full, l2) == branch
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +691,16 @@ def test_block_that_never_splits_evaluates_once_per_substep(monkeypatch):
         schemes, e1(), streams, monkeypatch, refinement=2
     )
     assert {_branches(run) for row in block for run in row} == {"t" * 8}
-    assert evaluations == [(4, 8)] * (8 * 3)
+    # the first evaluation of a step holds the coarse and the reference rows
+    assert evaluations == [(8, 8), (4, 8)] * 8
+
+
+def test_block_without_reference_evaluates_once_per_step(monkeypatch):
+    schemes = [_hybrid("ateu", "au1", tau_min=0.2), _hybrid("atea", "aa3", tau_min=0.2)]
+    streams = [stream(seed=s) for s in range(4)]
+    block, evaluations = _block_equals_rows(schemes, e1(), streams, monkeypatch)
+    assert {_branches(run) for row in block for run in row} == {"t" * 8}
+    assert evaluations == [(4, 8)] * 8
 
 
 def test_block_row_turns_adaptive_while_the_others_fall_back(monkeypatch):
@@ -679,8 +718,51 @@ def test_block_row_turns_adaptive_while_the_others_fall_back(monkeypatch):
     assert au3[2].startswith("at") and "t" in au3[0]
     assert {_branches(row[1]) for row in block} == {"ttttf"}
     # the first step is shared by all three rows; after it they split
-    assert evaluations[0] == (3, 8)
-    assert (1, 8) in evaluations
+    assert evaluations[:3] == [(6, 8), (3, 8), (3, 8)]
+    assert (2, 8) in evaluations and (1, 8) in evaluations
+
+
+def _desk_atea(delta):
+    """atea under aa1-aa3 as the desk-trace-class preset sets them up."""
+    return [Scheme("atea", law=TimestepLaw(f"aa{i}", delta)) for i in (1, 2, 3)]
+
+
+def _counting_l4_l6(monkeypatch):
+    rows = []
+    original = stepping._l4_l6
+
+    def counting(coeffs):
+        rows.append(len(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(stepping, "_l4_l6", counting)
+    return rows
+
+
+@pytest.mark.parametrize("delta", [2.0**-4, 2.0**-7])
+def test_atea_below_its_bound_computes_no_lp_norms(monkeypatch, delta):
+    # aa1 is capped at delta T and aa2, aa3 stay near delta, below the atea
+    # bound 1/(||X|| + 10): every step falls back without the norms
+    lp_rows = _counting_l4_l6(monkeypatch)
+    streams = [stream(256, seed=s) for s in range(4)]
+    block, _ = _block_equals_rows(
+        _desk_atea(delta), e1(256), streams, monkeypatch, refinement=3
+    )
+    assert lp_rows == []
+    assert {run.summary.adaptive_steps for row in block for run in row} == {0}
+
+
+def test_atea_member_above_its_bound_gets_its_lp_norms(monkeypatch):
+    # from 2 e_1 at delta = 1/4 the Lp-free aa1 value clears the bound,
+    # and only the norms decide its branch
+    lp_rows = _counting_l4_l6(monkeypatch)
+    big = SpectralField(2.0 * e1(256).coeffs)
+    streams = [stream(256, seed=s) for s in range(3)]
+    block, _ = _block_equals_rows(
+        _desk_atea(2.0**-2), big, streams, monkeypatch, refinement=3
+    )
+    assert lp_rows
+    assert any(run.summary.adaptive_steps for row in block for run in row)
 
 
 @pytest.mark.parametrize("refinement", [1, 2])

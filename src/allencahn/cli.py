@@ -51,11 +51,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--out", metavar="DIR", default="out", help="output directory (default: out)"
     )
     p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
-    p.add_argument(
-        "--uncapped-fallback",
-        action="store_true",
-        help="hybrid fallback steps use tau_min verbatim instead of min(tau_min, delta*T)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,8 +99,6 @@ def _resolve_config(args):
         overrides["seed"] = args.seed
     if args.command == "convergence" and args.threads is not None:
         overrides["threads"] = args.threads
-    if args.uncapped_fallback:
-        overrides["uncapped_fallback"] = True
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg, source

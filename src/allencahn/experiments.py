@@ -88,6 +88,10 @@ class StudyConfig:
             raise ConfigError("delta levels must be strictly decreasing")
         if self.samples < 2:
             raise ConfigError("need at least two samples")
+        if self.threads < 1:
+            raise ConfigError("threads must be at least 1")
+        if self.step_ceiling < 1:
+            raise ConfigError("step_ceiling must be at least 1")
         unknown = [s for s in self.schemes if s not in SCHEME_KINDS]
         if unknown:
             raise ConfigError(f"unknown schemes: {', '.join(unknown)}")
@@ -160,7 +164,7 @@ def resolve_family(token: str, scheme_kind: str) -> str:
 
     Generic types resolve to the uniform-bound variant except under atea,
     which takes the adaptive-bound variant; types 4-6 exist only in the
-    uniform-bound form.
+    uniform-bound form, and type5 is the au3 law.
     """
     if token in FAMILIES:
         return token
@@ -171,7 +175,7 @@ def resolve_family(token: str, scheme_kind: str) -> str:
                 f"{token} has no adaptive-bound variant; atea supports type1..type3"
             )
         return f"aa{idx}"
-    return f"au{idx}"
+    return "au3" if idx == 5 else f"au{idx}"
 
 
 def make_law(cfg: StudyConfig, token: str, scheme_kind: str, delta: float) -> TimestepLaw:
@@ -232,7 +236,8 @@ def _stream(cfg: StudyConfig, path: int, modes: int) -> NoiseStream:
 def _run_path(
     cfg: StudyConfig, scheme: Scheme, stream: NoiseStream, modes: int, **kw
 ):
-    """One path from the config's initial state: its result, or its blow-up time."""
+    """One path from the config's initial state: its result, or the
+    `BlowUpError` that ended it."""
     try:
         return integrate(
             scheme,
@@ -245,28 +250,30 @@ def _run_path(
             **kw,
         )
     except BlowUpError as exc:
-        return exc.time
+        return exc
 
 
-def _outcome(coarse, reference) -> SampleOutcome:
-    """Error of a coarse `_run_path` result against the reference coefficients.
+def _outcome(coarse, reference=None) -> SampleOutcome:
+    """Error of a coarse run's final state against a reference run's, or,
+    with none given, against the coarse run's own coupled reference.
 
-    Either may be a blow-up time instead; a coarse blow-up is reported
-    first.  A coarse state with fewer modes is zero-padded.
+    Either run may be the `BlowUpError` that ended it; a coarse blow-up is
+    reported first.  A coarse state with fewer modes is zero-padded.
     """
     for run in (coarse, reference):
-        if isinstance(run, float):
+        if isinstance(run, BlowUpError):
             return SampleOutcome(
-                error=math.nan, steps=0, diverged=True, blow_time=run
+                error=math.nan, steps=0, diverged=True, blow_time=run.time
             )
+    ref = (coarse.reference_final if reference is None else reference.final).coeffs
     x = coarse.final.coeffs
-    if x.size != reference.size:
-        padded = np.zeros(reference.size)
+    if x.size != ref.size:
+        padded = np.zeros(ref.size)
         padded[: x.size] = x
         x = padded
     s = coarse.summary
     return SampleOutcome(
-        error=float(np.linalg.norm(reference - x)),
+        error=float(np.linalg.norm(ref - x)),
         steps=s.steps,
         nonclamp_steps=s.steps - s.clamp_steps,
         min_step=s.min_step,
@@ -291,8 +298,6 @@ def _spatial_outcomes(cfg, scheme, n_ref, modes, paths) -> list[list[SampleOutco
     for path in paths:
         stream = _stream(cfg, path, n_ref)
         ref = _run_path(cfg, scheme, stream, n_ref, exact_convolution=True)
-        if not isinstance(ref, float):
-            ref = ref.final.coeffs
         outcomes.append([
             _outcome(_run_path(cfg, scheme, stream, n, exact_convolution=True), ref)
             for n in modes
@@ -334,11 +339,9 @@ def coupled_error_sample(
         return _spatial_outcomes(cfg, scheme, n_ref, (n,), (path,))[0][0]
     if reference_modes is not None:
         raise ValueError("reference_modes applies to spatial samples only")
-    res = _run_path(
-        cfg, scheme, _stream(cfg, path, n), n, refinement=cfg.refinement
+    return _outcome(
+        _run_path(cfg, scheme, _stream(cfg, path, n), n, refinement=cfg.refinement)
     )
-    ref = res if isinstance(res, float) else res.reference_final.coeffs
-    return _outcome(res, ref)
 
 
 def _adaptive_outcomes(cfg, variants, delta, paths) -> list[list[SampleOutcome]]:
@@ -359,14 +362,7 @@ def _adaptive_outcomes(cfg, variants, delta, paths) -> list[list[SampleOutcome]]
         step_ceiling=cfg.step_ceiling,
         projected_drift_norm=cfg.projected_drift_norm,
     )
-    return [
-        [
-            _outcome(run.time, None) if isinstance(run, BlowUpError)
-            else _outcome(run, run.reference_final.coeffs)
-            for run in runs
-        ]
-        for runs in block
-    ]
+    return [[_outcome(run) for run in runs] for runs in block]
 
 
 def _te_outcomes(cfg, delta, te_h, paths) -> list[SampleOutcome]:
@@ -437,7 +433,6 @@ class CellResult:
 
     scheme: str
     law: str
-    family: str | None
     delta: float
     rms: float
     mean_steps: float
@@ -532,7 +527,7 @@ def _pool(cfg: StudyConfig):
 
     A study that raises cancels the paths still queued; a normal exit waits.
     """
-    if cfg.threads <= 1:
+    if cfg.threads == 1:
         yield None
         return
     pool = ProcessPoolExecutor(max_workers=cfg.threads)
@@ -575,13 +570,9 @@ def _cell(key, block) -> CellResult:
             f"every sample diverged in cell ({scheme_kind}, {law_token}, {delta})"
         )
     counted = [o.steps for o in outcomes if not o.diverged]
-    family = None
-    if scheme_kind != "te":
-        family = resolve_family(law_token, scheme_kind)
     return CellResult(
         scheme=scheme_kind,
         law=law_token,
-        family=family,
         delta=delta,
         rms=rms_error(errors),
         mean_steps=float(np.mean(counted)),

@@ -49,15 +49,6 @@ class NoiseSpec:
         return q
 
 
-def increment_stddev(spec: NoiseSpec, mode: int, dt: float) -> float:
-    """Standard deviation of the mode-n increment over a step of length dt."""
-    if not 1 <= mode <= spec.n_modes:
-        raise ValueError(f"mode {mode} outside 1..{spec.n_modes}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return spec.scale * float(np.sqrt(spec.mode_variances[mode - 1] * dt))
-
-
 @dataclass(frozen=True)
 class NoiseStream:
     """Addressable increment source for one sample path."""

@@ -28,13 +28,6 @@ def eigenvalues(n_modes: int) -> np.ndarray:
     return lam
 
 
-def grid_points(m: int) -> np.ndarray:
-    """Interior grid x_k = k/(M+1), k = 1..M."""
-    if m < 1:
-        raise ValueError("grid must contain at least one interior point")
-    return np.arange(1, m + 1) / (m + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Immutable coefficient vector (a_1, ..., a_N) against e_i = sqrt(2) sin(i pi x)."""
@@ -111,12 +104,6 @@ def apply_fractional_power(field: SpectralField, gamma: float) -> SpectralField:
 def l2_norm(field: SpectralField) -> float:
     """L2 norm via Parseval: the Euclidean norm of the coefficients."""
     return float(np.linalg.norm(field.coeffs))
-
-
-def sobolev_norm(field: SpectralField, beta: float) -> float:
-    """Norm of A^(beta/2) X, i.e. the H^beta Dirichlet norm."""
-    lam = eigenvalues(field.n_modes)
-    return float(np.linalg.norm(field.coeffs * lam ** (beta / 2.0)))
 
 
 def sup_norm(field: SpectralField, oversample: int = 4) -> float:

@@ -36,7 +36,7 @@ ADAPTIVE = "adaptive"
 FALLBACK = "tamed-fallback"
 CLAMP = "final-clamp"
 
-AU_FAMILIES = ("au1", "au2", "au3", "au4", "au5", "au6")
+AU_FAMILIES = ("au1", "au2", "au3", "au4", "au6")
 AA_FAMILIES = ("aa1", "aa2", "aa3")
 FAMILIES = AU_FAMILIES + AA_FAMILIES + ("uniform",)
 
@@ -55,9 +55,10 @@ class TimestepLaw:
     `fixed_step` regardless of the state (useful for traces and branch
     tests).
 
-    au3, au4 and au5 share one base ratio; au4 caps it at delta * horizon
-    where au3 scales it by delta.  au5 is an alias of au3: the law token
-    `type5` runs the au3 trajectory.
+    au3 and au4 share one base ratio; au4 caps it at delta * horizon where
+    au3 scales it by delta.  The law token `type5` runs au3; there is no
+    fifth uniform-bound family.  Every family but `uniform` is a distinct
+    function of the state.
     """
 
     family: str
@@ -79,6 +80,10 @@ class TimestepLaw:
             raise ValueError("horizon must be positive")
         if self.phi <= 0:
             raise ValueError("phi must be positive")
+        # The adaptive low bound 1/(zeta ||X||^q0 + xi) must be finite and
+        # positive at every state, X = 0 included.
+        if self.xi <= 0 or self.zeta < 0 or self.q0 < 0:
+            raise ValueError("the low bound needs xi > 0, zeta >= 0 and q0 >= 0")
         if self.tau_min <= 0:
             raise ValueError("tau_min must be positive")
         if self.family == "uniform":
@@ -106,7 +111,7 @@ class TimestepLaw:
         fam = self.family
         if fam in ("au1", "au2"):
             return (l2 / (drift_norm + phi)) ** _FOUR_THIRDS
-        if fam in ("au3", "au4", "au5"):
+        if fam in ("au3", "au4"):
             return (1.0 / (drift_norm + phi)) ** _FOUR_THIRDS
         if fam == "au6":
             # The +3 regularisation is part of this law's definition.
@@ -191,7 +196,6 @@ class TrajectorySummary:
     adaptive_steps: int = 0
     fallback_steps: int = 0
     clamp_steps: int = 0
-    sum_tau: float = 0.0
     min_step: float = math.inf  # over non-clamp steps
     max_l2: float = 0.0
     max_sup: float = 0.0
@@ -467,7 +471,6 @@ def integrate_block(
                 if records is not None:
                     records.append(StepRecord(t, tau, branch, l2, sup, drift_norm))
                 summary.steps += 1
-                summary.sum_tau += tau
                 summary.max_l2 = max(summary.max_l2, l2)
                 summary.max_sup = max(summary.max_sup, sup)
                 if branch == ADAPTIVE:

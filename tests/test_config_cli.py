@@ -272,6 +272,10 @@ def test_cli_missing_config_file(tmp_path, capsys):
         ("refinement = 3", "refinement = 1"),
         ("seed = 0", "seed = -1"),
         ("initial = e1", "initial = e17"),
+        ("xi = 10.0", "xi = 0.0"),
+        ("q0 = 1.0", "q0 = -1.0"),
+        ("threads = 1", "threads = -3"),
+        ("step_ceiling = 10000000", "step_ceiling = 0"),
     ],
 )
 def test_cli_rejects_bad_value_before_writing(tmp_path, capsys, line, bad):
@@ -381,23 +385,6 @@ def test_cli_seed_override_changes_errors(smoke_run, tmp_path):
     )
     assert "seed = 1" in (other / "config_resolved.ini").read_text(encoding="utf-8")
     assert _errors_without_cpu(other) != _errors_without_cpu(out)
-
-
-def test_cli_uncapped_fallback_flag(tmp_path):
-    out = tmp_path / "uncapped"
-    assert (
-        run_cli(
-            "convergence",
-            "--preset",
-            "smoke",
-            "--uncapped-fallback",
-            "--out",
-            str(out),
-        )
-        == 0
-    )
-    text = (out / "config_resolved.ini").read_text(encoding="utf-8")
-    assert "uncapped_fallback = true" in text
 
 
 def test_cli_trace_uniform_scheme(tmp_path):

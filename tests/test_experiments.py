@@ -8,7 +8,12 @@ import pytest
 
 from allencahn import experiments, stepping
 from allencahn.drift import fast_dealias_size
-from allencahn.errors import ConfigError, RunawayPartitionError, StudyError
+from allencahn.errors import (
+    BlowUpError,
+    ConfigError,
+    RunawayPartitionError,
+    StudyError,
+)
 from allencahn.experiments import (
     CellResult,
     FitResult,
@@ -111,11 +116,19 @@ def test_resolve_family_tokens():
     assert resolve_family("type1", "atea") == "aa1"
     assert resolve_family("type4", "ateu") == "au4"
     assert resolve_family("aa2", "te") == "aa2"
-    assert resolve_family("au5", "atea") == "au5"
+    assert resolve_family("au6", "atea") == "au6"
     with pytest.raises(ConfigError):
         resolve_family("type4", "atea")
     with pytest.raises(ConfigError):
         resolve_family("type6", "atea")
+
+
+def test_type5_runs_au3():
+    # au3 under a second name would be an alias; type5 names au3 itself
+    for scheme_kind in ("te", "ateu", "ae"):
+        assert resolve_family("type5", scheme_kind) == "au3"
+    with pytest.raises(ConfigError):
+        small_config(laws=("au5",))
 
 
 def test_make_law_and_scheme():
@@ -143,6 +156,11 @@ def test_study_config_validation():
         small_config(schemes=("te", "euler"))
     with pytest.raises(ConfigError):
         small_config(laws=("type7",))
+    for threads in (0, -3):
+        with pytest.raises(ConfigError):
+            small_config(threads=threads)
+    with pytest.raises(ConfigError):
+        small_config(step_ceiling=0)
     # each spatial case below breaks one rule of an otherwise valid config
     with pytest.raises(ConfigError):
         spatial_config(spatial_modes=())
@@ -716,7 +734,7 @@ def test_spatial_outcomes_equal_single_path_samples():
 
 
 def test_coarse_blow_up_is_reported_before_the_reference():
-    first = experiments._outcome(0.25, 0.5)
+    first = experiments._outcome(BlowUpError(0.25, 1.0), BlowUpError(0.5, 1.0))
     assert first.diverged and first.blow_time == 0.25
     cfg = spatial_config()
     stream = NoiseStream(NoiseSpec(cfg.noise_kind, 32), cfg.seed, 0)
@@ -724,7 +742,7 @@ def test_coarse_blow_up_is_reported_before_the_reference():
         cfg, make_scheme(cfg, "te", "type1", 2.0**-3), stream, 8,
         exact_convolution=True,
     )
-    second = experiments._outcome(coarse, 0.5)
+    second = experiments._outcome(coarse, BlowUpError(0.5, 1.0))
     assert second.diverged and second.blow_time == 0.5
 
 

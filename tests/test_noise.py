@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from allencahn.noise import NoiseSpec, NoiseStream, increment_stddev
+from allencahn.noise import NoiseSpec, NoiseStream
 
 
 def test_spec_validation():
@@ -20,20 +20,6 @@ def test_mode_variances():
     tc = NoiseSpec("trace-class", 4)
     assert np.allclose(tc.mode_variances, [1.0, 0.25, 1.0 / 9.0, 1.0 / 16.0])
     assert np.allclose(NoiseSpec("white", 3).mode_variances, [1.0, 1.0, 1.0])
-
-
-def test_increment_stddev_values():
-    tc = NoiseSpec("trace-class", 20)
-    assert increment_stddev(tc, 1, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert increment_stddev(tc, 3, 4.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    wh = NoiseSpec("white", 20)
-    assert increment_stddev(wh, 17, 0.25) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        increment_stddev(tc, 0, 1.0)
-    with pytest.raises(ValueError):
-        increment_stddev(tc, 21, 1.0)
-    with pytest.raises(ValueError):
-        increment_stddev(tc, 1, 0.0)
 
 
 def test_stream_validation():

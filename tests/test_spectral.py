@@ -11,10 +11,8 @@ from allencahn.spectral import (
     apply_semigroup,
     coeffs_to_values,
     eigenvalues,
-    grid_points,
     l2_norm,
     lp_norm,
-    sobolev_norm,
     sup_norm,
     values_to_coeffs,
 )
@@ -36,12 +34,6 @@ def test_eigenvalues_cached_read_only():
     assert lam is eigenvalues(4)
     with pytest.raises(ValueError):
         lam[0] = 0.0
-
-
-def test_grid_points():
-    assert np.allclose(grid_points(3), [0.25, 0.5, 0.75])
-    with pytest.raises(ValueError):
-        grid_points(0)
 
 
 def test_field_validation():
@@ -191,7 +183,8 @@ def test_semigroup_composition_and_contraction(rng):
     for t in (1e-3, 0.1, 2.0):
         out = apply_semigroup(field, t)
         assert l2_norm(out) <= l2_norm(field)
-        assert sobolev_norm(out, 1.0) <= sobolev_norm(field, 1.0)
+        h1 = l2_norm(apply_fractional_power(out, 1.0))
+        assert h1 <= l2_norm(apply_fractional_power(field, 1.0))
         assert sup_norm(out) <= sup_norm(field) + 1e-12
 
 
@@ -221,12 +214,6 @@ def test_sup_norm_first_mode():
     assert s == pytest.approx(np.sqrt(2.0), abs=5e-3)
     assert sup_norm(SpectralField(coeffs), oversample=64) == pytest.approx(
         np.sqrt(2.0), abs=1e-5
-    )
-
-
-def test_sobolev_norm_first_mode():
-    assert sobolev_norm(SpectralField(np.array([1.0])), 1.0) == pytest.approx(
-        np.pi, abs=1e-12
     )
 
 

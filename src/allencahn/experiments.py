@@ -292,11 +292,13 @@ def _spatial_outcomes(cfg, scheme, n_ref, modes, paths) -> list[list[SampleOutco
 
     All resolutions of a path share its partition and one n_ref-mode
     stream, so every mode takes the same increments at every resolution;
-    the reference is integrated once per path.
+    the reference is integrated once per path.  The stream keeps its
+    draws, so each step is drawn once, by the reference, and every swept
+    N replays that very draw.
     """
     outcomes = []
     for path in paths:
-        stream = _stream(cfg, path, n_ref)
+        stream = _stream(cfg, path, n_ref).keep_draws()
         ref = _run_path(cfg, scheme, stream, n_ref, exact_convolution=True)
         outcomes.append([
             _outcome(_run_path(cfg, scheme, stream, n, exact_convolution=True), ref)

@@ -51,7 +51,12 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class NoiseStream:
-    """Addressable increment source for one sample path."""
+    """Addressable increment source for one sample path.
+
+    After `keep_draws()` the stream keeps every (fine, coarse) pair it
+    serves, read-only and keyed by (step, dt, r), and serves that same pair
+    when asked again: paths that run on one stream draw each step once.
+    """
 
     spec: NoiseSpec
     seed: int
@@ -64,10 +69,20 @@ class NoiseStream:
             raise ValueError("path index must fit in 32 bits")
 
     def __getstate__(self):
-        # The reused Philox and the last step's scale are caches: pickles
-        # carry the fields only, as do __eq__, __hash__ and repr, which see
-        # dataclass fields alone.
-        return {k: v for k, v in self.__dict__.items() if k not in ("_rng", "_sig")}
+        # The reused Philox, the last step's scale and the kept draws are
+        # caches: pickles carry the fields only, as do __eq__, __hash__ and
+        # repr, which see dataclass fields alone.
+        return {
+            k: v
+            for k, v in self.__dict__.items()
+            if k not in ("_rng", "_sig", "_kept")
+        }
+
+    def keep_draws(self) -> NoiseStream:
+        """Keep every draw from now on and replay it when asked again; the
+        stream itself is returned."""
+        self.__dict__.setdefault("_kept", {})
+        return self
 
     def _generator(self, step: int) -> Generator:
         """The generator of Generator(Philox(key)) for this step's key.
@@ -103,6 +118,9 @@ class NoiseStream:
             raise ValueError("dt must be positive")
         if r < 1:
             raise ValueError("refinement factor must be at least 1")
+        kept = self.__dict__.get("_kept")
+        if kept is not None and (step, dt, r) in kept:
+            return kept[step, dt, r]
         # Steps of one path mostly repeat their length: keep the last scale.
         last = self.__dict__.get("_sig")
         if last is None or last[0] != (dt, r):
@@ -112,5 +130,8 @@ class NoiseStream:
         fine = self._generator(step).standard_normal((r, self.spec.n_modes)) * last[1]
         # The sum of one row is that row exactly.
         coarse = fine[0] if r == 1 else fine.sum(axis=0)
+        if kept is not None:
+            fine.flags.writeable = coarse.flags.writeable = False
+            kept[step, dt, r] = fine, coarse
         return fine, coarse
 

@@ -509,13 +509,20 @@ def test_cli_trace_rejects_bad_cell_before_writing(tmp_path, capsys, preset, cel
 
 
 def test_console_script_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the child does not see pytest's `pythonpath`: hand it src/ itself
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "allencahn.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "convergence" in proc.stdout and "trace" in proc.stdout

@@ -530,8 +530,10 @@ def test_block_tasks_give_single_path_outcomes():
 def test_te_paths_reach_experiments_integrate(monkeypatch):
     # bench/tracer.py counts a study's work by wrapping
     # experiments.integrate and divides by the steps it sees there; if no
-    # te path reached it, the traced benchmark would crash.  Delete this
-    # guard once the tracer counts at kernel seams (ROADMAP item 1).
+    # te path reached it, the traced benchmark would crash with a
+    # ZeroDivisionError at bench/run.py:379 (c["dst_points"] / steps).
+    # Delete this guard once the tracer counts at kernel seams (ROADMAP
+    # item 1).
     kinds = []
 
     def counting(*args, **kwargs):
@@ -690,6 +692,68 @@ def test_spatial_reference_is_integrated_once_per_sample(monkeypatch):
         [cfg.spatial_reference] * cfg.samples
         + [n for n in cfg.spatial_modes for _ in range(cfg.samples)]
     )
+
+
+def test_spatial_sample_draws_each_step_once(monkeypatch):
+    # every swept N replays the reference path's draws: Philox is reset
+    # once per step of the sample, not once per step of each resolution
+    resets = []
+    original = NoiseStream._generator
+
+    def counting(stream, step):
+        resets.append(step)
+        return original(stream, step)
+
+    monkeypatch.setattr(NoiseStream, "_generator", counting)
+    cfg = spatial_config()
+    scheme = make_scheme(cfg, "te", "type1", 2.0**-3)
+    ((ref_only,),) = experiments._spatial_outcomes(cfg, scheme, 32, (32,), (1,))
+    steps = ref_only.steps
+    resets.clear()
+    (outcomes,) = experiments._spatial_outcomes(
+        cfg, scheme, 32, cfg.spatial_modes, (1,)
+    )
+    assert [o.steps for o in outcomes] == [steps] * len(cfg.spatial_modes)
+    assert resets == list(range(steps))
+
+
+def test_spatial_outcomes_equal_fresh_streams_per_resolution():
+    cfg = spatial_config()
+    scheme = make_scheme(cfg, "te", "type1", 2.0**-3)
+    paths = (0, 2)
+    shared = experiments._spatial_outcomes(cfg, scheme, 32, cfg.spatial_modes, paths)
+
+    def run(path, n):
+        return experiments._run_path(
+            cfg, scheme, experiments._stream(cfg, path, 32), n,
+            exact_convolution=True,
+        )
+
+    alone = [
+        [experiments._outcome(run(path, n), run(path, 32)) for n in cfg.spatial_modes]
+        for path in paths
+    ]
+    assert repr(shared) == repr(alone)
+
+
+def test_only_spatial_streams_keep_draws(monkeypatch):
+    # kept draws cost a path's increments in memory: temporal streams,
+    # each run by one path, must never keep theirs
+    kept = []
+    original = NoiseStream.keep_draws
+
+    def recording(stream):
+        kept.append(stream.path)
+        return original(stream)
+
+    monkeypatch.setattr(NoiseStream, "keep_draws", recording)
+    convergence_study(
+        small_config(samples=3, schemes=("te", "ateu", "atea"), deltas=(0.5, 0.25))
+    )
+    assert kept == []
+    cfg = spatial_config()
+    convergence_study(cfg)
+    assert sorted(kept) == list(range(cfg.samples))
 
 
 def _cell_rows(tmp_path, result):

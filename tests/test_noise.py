@@ -163,3 +163,31 @@ def test_reused_philox_draws_equal_fresh_generators():
     assert copy == stream and hash(copy) == hash(stream)
     for step in (9, 5, 0):
         same(copy, step, 3)
+
+
+def test_kept_draws_replay_read_only_and_stay_out_of_pickles():
+    spec = NoiseSpec("white", 8, 0.5)
+    stream = NoiseStream(spec, 3, 4)
+    assert stream.keep_draws() is stream
+    plain = NoiseStream(spec, 3, 4)
+    for r in (1, 3):
+        fine, coarse = stream.increments(2, 0.25, r)
+        # a second ask replays the very arrays drawn first
+        again = stream.increments(2, 0.25, r)
+        assert again[0] is fine and again[1] is coarse
+        expected = plain.increments(2, 0.25, r)
+        assert np.array_equal(fine, expected[0])
+        assert np.array_equal(coarse, expected[1])
+        for kept in (fine, coarse):
+            with pytest.raises(ValueError):
+                kept[0] = 1.0
+    # another step length is another draw
+    assert stream.increments(2, 0.125)[0] is not stream.increments(2, 0.25)[0]
+    # the kept draws are a cache: no pickle carries them
+    fresh = NoiseStream(spec, 3, 4)
+    assert pickle.dumps(stream) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(stream))
+    assert "_kept" not in copy.__dict__
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert stream == fresh and hash(stream) == hash(fresh)
+    assert repr(stream) == repr(fresh)

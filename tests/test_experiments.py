@@ -707,12 +707,10 @@ def test_spatial_sample_draws_each_step_once(monkeypatch):
     monkeypatch.setattr(NoiseStream, "_generator", counting)
     cfg = spatial_config()
     scheme = make_scheme(cfg, "te", "type1", 2.0**-3)
-    ((ref_only,),) = experiments._spatial_outcomes(cfg, scheme, 32, (32,), (1,))
-    steps = ref_only.steps
-    resets.clear()
     (outcomes,) = experiments._spatial_outcomes(
         cfg, scheme, 32, cfg.spatial_modes, (1,)
     )
+    steps = outcomes[0].steps
     assert [o.steps for o in outcomes] == [steps] * len(cfg.spatial_modes)
     assert resets == list(range(steps))
 

@@ -190,7 +190,6 @@ def cmd_trace(args) -> int:
             cfg.drift,
             step_ceiling=cfg.step_ceiling,
             collect_records=True,
-            projected_drift_norm=cfg.projected_drift_norm,
             exact_convolution=spatial,
         )
         write_trace_csv(out_dir / "trace.csv", result.records, args.path)

@@ -48,8 +48,6 @@ _KEYS = (
     ("laws", "xi", "xi", "float"),
     ("laws", "q0", "q0", "float"),
     ("laws", "tau_min", "tau_min", "float"),
-    ("laws", "uncapped_fallback", "uncapped_fallback", "bool"),
-    ("laws", "projected_drift_norm", "projected_drift_norm", "bool"),
 )
 
 # Left out of the rendering while unset, so a temporal config reads as one.

@@ -145,18 +145,10 @@ def apply_drift(
 
 
 def drift_l2_norm(
-    drift: CubicDrift,
-    field: SpectralField,
-    m: int | None = None,
-    projected: bool = False,
+    drift: CubicDrift, field: SpectralField, m: int | None = None
 ) -> float:
-    """L2 norm of the drift image f(X) (default) or of its projection F^N(X).
-
-    The full-image norm is what the timestep laws consume unless a run is
-    configured for the projected variant.
-    """
-    ev = evaluate_drift(drift, field.coeffs, m)
-    return ev.projected_norm if projected else ev.image_norm
+    """L2 norm of the drift image f(X), the norm the timestep laws consume."""
+    return evaluate_drift(drift, field.coeffs, m).image_norm
 
 
 def inner_product_x_f(

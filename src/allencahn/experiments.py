@@ -66,8 +66,6 @@ class StudyConfig:
     xi: float = 10.0
     q0: float = 1.0
     tau_min: float = 0.2
-    uncapped_fallback: bool = False
-    projected_drift_norm: bool = False
     step_ceiling: int = 10_000_000
     stability_ceiling: float = 1000.0
     threads: int = 1
@@ -203,11 +201,7 @@ def make_scheme(
 ) -> Scheme:
     if scheme_kind == "te":
         return Scheme("te", h=te_h if te_h is not None else delta * cfg.horizon)
-    return Scheme(
-        scheme_kind,
-        law=make_law(cfg, law_token, scheme_kind, delta),
-        uncapped_fallback=cfg.uncapped_fallback,
-    )
+    return Scheme(scheme_kind, law=make_law(cfg, law_token, scheme_kind, delta))
 
 
 @dataclass(frozen=True)
@@ -246,7 +240,6 @@ def _run_path(
             stream,
             cfg.drift,
             step_ceiling=cfg.step_ceiling,
-            projected_drift_norm=cfg.projected_drift_norm,
             **kw,
         )
     except BlowUpError as exc:
@@ -322,23 +315,28 @@ def coupled_error_sample(
 
     Under a temporal config the reference is the coarse trajectory's r-fold
     refinement at the same mode count.  Under a spatial config it is the
-    same te scheme at `reference_modes` on the same uniform partition: both
-    resolutions take the exact-convolution noise form and the same per-mode
-    increments, one per step, so the error is the spatial truncation alone
-    and `refinement` is not used.  A spatial `convergence_study` runs the
-    same `_spatial_outcomes`, with the reference shared by every swept
-    mode count.
+    same te scheme at `reference_modes` (by default the config's
+    `spatial_reference`) on the same uniform partition: both resolutions
+    take the exact-convolution noise form and the same per-mode increments,
+    one per step, so the error is the spatial truncation alone and
+    `refinement` is not used.  A spatial sample needs its swept `n_modes`.
+    A spatial `convergence_study` runs the same `_spatial_outcomes`, with
+    the reference shared by every swept mode count.
 
     Divergent paths are reported, not raised; they carry the blow-up time
     and count as excluded in the cell aggregation.
     """
-    n = n_modes if n_modes is not None else cfg.n_modes
     scheme = make_scheme(cfg, scheme_kind, law_token, delta, te_h)
     if cfg.kind == "spatial":
         if scheme_kind != "te":
             raise ValueError("a spatial sample needs the uniform te partition")
-        n_ref = reference_modes if reference_modes is not None else n
-        return _spatial_outcomes(cfg, scheme, n_ref, (n,), (path,))[0][0]
+        if n_modes is None:
+            raise ValueError("a spatial sample needs its swept n_modes")
+        n_ref = (
+            cfg.spatial_reference if reference_modes is None else reference_modes
+        )
+        return _spatial_outcomes(cfg, scheme, n_ref, (n_modes,), (path,))[0][0]
+    n = n_modes if n_modes is not None else cfg.n_modes
     if reference_modes is not None:
         raise ValueError("reference_modes applies to spatial samples only")
     return _outcome(
@@ -362,7 +360,6 @@ def _adaptive_outcomes(cfg, variants, delta, paths) -> list[list[SampleOutcome]]
         cfg.drift,
         refinement=cfg.refinement,
         step_ceiling=cfg.step_ceiling,
-        projected_drift_norm=cfg.projected_drift_norm,
     )
     return [[_outcome(run) for run in runs] for runs in block]
 

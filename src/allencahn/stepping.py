@@ -156,7 +156,6 @@ class Scheme:
     kind: str
     law: TimestepLaw | None = None
     h: float | None = None
-    uncapped_fallback: bool = False
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -170,10 +169,7 @@ class Scheme:
 
     @property
     def fallback_length(self) -> float:
-        law = self.law
-        if self.uncapped_fallback:
-            return law.tau_min
-        return min(law.tau_min, law.delta * law.horizon)
+        return min(self.law.tau_min, self.law.delta * self.law.horizon)
 
 
 @dataclass(frozen=True)
@@ -287,7 +283,6 @@ def integrate(
     refinement: int = 1,
     step_ceiling: int = 10_000_000,
     collect_records: bool = False,
-    projected_drift_norm: bool = False,
     exact_convolution: bool = False,
 ) -> IntegrationResult:
     """Advance the scheme from t=0 to t=horizon on one sample path.
@@ -326,7 +321,6 @@ def integrate(
         refinement=refinement,
         step_ceiling=step_ceiling,
         collect_records=collect_records,
-        projected_drift_norm=projected_drift_norm,
         exact_convolution=exact_convolution,
     )
     if isinstance(result, BlowUpError):
@@ -344,7 +338,6 @@ def integrate_block(
     refinement: int = 1,
     step_ceiling: int = 10_000_000,
     collect_records: bool = False,
-    projected_drift_norm: bool = False,
     exact_convolution: bool = False,
 ) -> list[list[IntegrationResult | BlowUpError]]:
     """`integrate` of every scheme on a block of sample paths, one per stream.
@@ -429,9 +422,8 @@ def integrate_block(
             ev, ev_ref = both.take(slice(len(x))), both.take(slice(len(x), None))
         else:
             ev, ev_ref = evaluate_drift(drift, x, m_grid), None
-        drift_norms = repeat(None)  # read by the laws and the records only
-        if reads_drift_norm:
-            drift_norms = ev.projected_norm if projected_drift_norm else ev.image_norm
+        # ||f(X)||, read by the laws and the records only
+        drift_norms = ev.image_norm if reads_drift_norm else repeat(None)
         sups = ev.state_sup
         lp = ()  # the L4/L6 norms of each row, once a member's branch needs them
 

@@ -30,7 +30,6 @@ def temporal_cfg():
         noise_scale=0.5,
         a0=0.25,
         xi=7.0,
-        uncapped_fallback=True,
     )
 
 
@@ -101,8 +100,6 @@ def test_every_field_round_trips():
         xi=7.0,
         q0=2.0,
         tau_min=0.05,
-        uncapped_fallback=True,
-        projected_drift_norm=True,
         step_ceiling=1234,
         stability_ceiling=50.0,
         threads=3,
@@ -125,6 +122,13 @@ def test_unknown_key_is_an_error():
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert "smaples" in str(info.value)
+    # the removed law switches are unknown keys too
+    laws = render_config(temporal_cfg())
+    for removed in ("uncapped_fallback", "projected_drift_norm"):
+        text = laws.replace("\n[laws]\n", f"\n[laws]\n{removed} = false\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert removed in str(info.value)
 
 
 def test_unknown_section_is_an_error():
@@ -276,6 +280,8 @@ def test_cli_missing_config_file(tmp_path, capsys):
         ("q0 = 1.0", "q0 = -1.0"),
         ("threads = 1", "threads = -3"),
         ("step_ceiling = 10000000", "step_ceiling = 0"),
+        ("tau_min = 0.2", "tau_min = 0.2\nuncapped_fallback = true"),
+        ("tau_min = 0.2", "tau_min = 0.2\nprojected_drift_norm = true"),
     ],
 )
 def test_cli_rejects_bad_value_before_writing(tmp_path, capsys, line, bad):

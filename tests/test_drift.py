@@ -92,7 +92,7 @@ def test_drift_l2_norm_against_quadrature_oracle():
     )
     assert drift_l2_norm(CUBIC, field) == pytest.approx(oracle, abs=1e-9)
     # the image of e_1 is band-limited, so image and projected norms agree
-    assert drift_l2_norm(CUBIC, field, projected=True) == pytest.approx(
+    assert evaluate_drift(CUBIC, field.coeffs).projected_norm == pytest.approx(
         oracle, abs=1e-9
     )
     # frozen closed form: ||F(e_1)|| = sqrt(1/4 + 1/4)

@@ -631,6 +631,19 @@ def test_spatial_sample_shares_the_partition():
     assert out.steps == 8
 
 
+def test_spatial_sample_measures_against_the_reference_by_default():
+    cfg = spatial_config()
+    out = coupled_error_sample(cfg, "te", "type1", 2.0**-3, 0, n_modes=8)
+    assert out.error > 0.0
+    against = coupled_error_sample(
+        cfg, "te", "type1", 2.0**-3, 0, n_modes=8,
+        reference_modes=cfg.spatial_reference,
+    )
+    assert repr(out) == repr(against)
+    with pytest.raises(ValueError, match="n_modes"):
+        coupled_error_sample(cfg, "te", "type1", 2.0**-3, 0)
+
+
 def test_spatial_study_ignores_refinement():
     cfg = spatial_config()
     res = convergence_study(cfg)

@@ -43,12 +43,11 @@ def stream(n=8, seed=0, path=0, kind="trace-class", scale=1.0):
     return NoiseStream(NoiseSpec(kind, n, scale), seed, path)
 
 
-def law_at(law, field, drift=CUBIC, projected=False):
+def law_at(law, field, drift=CUBIC):
     """tau^delta at a state, from the drift evaluation a step would make."""
     ev = evaluate_drift(drift, field.coeffs)
-    drift_norm = ev.projected_norm if projected else ev.image_norm
     lp = (lp_norm(field, 4), lp_norm(field, 6)) if law.needs_lp_norms else ()
-    return law.value(l2_norm(field), drift_norm, *lp)
+    return law.value(l2_norm(field), ev.image_norm, *lp)
 
 
 def one_step(scheme, field, tau, noise=None):
@@ -269,8 +268,8 @@ def test_tamed_step_damps_drift_term():
 # hybrid branch selection, read from the first step of an integrate run
 
 
-def first_record(kind, law, field, **kw):
-    res = integrate(Scheme(kind, law=law, **kw), field, 1.0, stream(), CUBIC,
+def first_record(kind, law, field):
+    res = integrate(Scheme(kind, law=law), field, 1.0, stream(), CUBIC,
                     collect_records=True)
     return res.records[0]
 
@@ -292,9 +291,6 @@ def test_hybrid_step_ateu_fallback_branch():
     rec_capped = first_record("ateu", law_up, e1())
     assert rec_capped.branch == FALLBACK
     assert rec_capped.tau == pytest.approx(2.0**-4)  # fallback capped by delta*T
-    rec_raw = first_record("ateu", law_up, e1(), uncapped_fallback=True)
-    assert rec_raw.branch == FALLBACK
-    assert rec_raw.tau == pytest.approx(0.2)
 
 
 def test_hybrid_step_tie_goes_adaptive():
@@ -312,9 +308,6 @@ def test_scheme_validation():
         Scheme("nope", h=0.1)
     law = TimestepLaw("au1", 2.0**-4, tau_min=0.2)
     assert Scheme("ateu", law=law).fallback_length == pytest.approx(2.0**-4)
-    assert Scheme(
-        "ateu", law=law, uncapped_fallback=True
-    ).fallback_length == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +511,18 @@ def test_record_diagnostics_are_prestep():
     assert first.norm_drift == pytest.approx(E1_DRIFT_NORM, abs=1e-13)
 
 
-def test_projected_drift_norm_switch():
-    # with a constant source the image norm exceeds the projected norm, so
-    # the au3 step differs between the two conventions
+def test_laws_read_the_image_norm():
+    # with a constant source the image norm ||f(0)|| = 2 exceeds the
+    # projected norm; the step and its record read the image norm
     drift = CubicDrift(-1.0, 0.0, 1.0, 2.0)
     law = TimestepLaw("au3", 0.5)
-    full = law_at(law, zero(), drift, projected=False)
-    proj = law_at(law, zero(), drift, projected=True)
-    assert full != proj
+    full = law_at(law, zero(), drift)
     assert full == pytest.approx(0.5 * (1.0 / (2.0 + 1.0)) ** (4.0 / 3.0), abs=1e-13)
+    res = integrate(Scheme("atea", law=law), zero(), 1.0, stream(scale=0.0), drift,
+                    collect_records=True)
+    first = res.records[0]
+    assert first.branch == ADAPTIVE and first.tau == full
+    assert first.norm_drift == pytest.approx(2.0, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +579,14 @@ def _branches(run):
 
 
 def test_group_that_never_splits_draws_once_per_step(monkeypatch):
-    # every law falls back at every step, so all four take one partition
+    # every law falls back at every step, so all four take one partition,
+    # and so does te at their fallback length min(tau_min, delta*T) = 0.125
     schemes = [
         _hybrid("ateu", "au1", tau_min=0.2),
         _hybrid("ateu", "au3", tau_min=0.2),
         _hybrid("ateu", "au6", tau_min=0.2),
         _hybrid("atea", "aa3", tau_min=0.2),
+        Scheme("te", h=0.125),
     ]
     group, draws = _group_equals_members(
         schemes, e1(), stream(seed=1), monkeypatch, refinement=2

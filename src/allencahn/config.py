@@ -89,21 +89,12 @@ def _delta_repr(d: float) -> str:
     return repr(d)
 
 
-def _read_bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
 # kind -> (read, write): read turns the INI text into the field value,
 # write turns the value back into text that read maps to an equal value.
 _KINDS = {
     "str": (str, str),
     "int": (int, str),
     "float": (float, repr),
-    "bool": (_read_bool, lambda v: str(v).lower()),
     "list": (lambda t: tuple(_split(t)), ", ".join),
     "intlist": (
         lambda t: tuple(int(x) for x in _split(t)),

@@ -29,7 +29,6 @@ from .errors import BlowUpError, ConfigError, StudyError
 from .noise import TRACE_CLASS, NoiseSpec, NoiseStream
 from .spectral import SpectralField
 from .stepping import (
-    FAMILIES,
     SCHEME_KINDS,
     Scheme,
     TimestepLaw,
@@ -37,8 +36,7 @@ from .stepping import (
     integrate_block,
 )
 
-TYPE_TOKENS = tuple(f"type{i}" for i in range(1, 7))
-LAW_TOKENS = TYPE_TOKENS + FAMILIES
+LAW_TOKENS = tuple(f"type{i}" for i in range(1, 7))
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,8 @@ class StudyConfig:
             raise ConfigError("threads must be at least 1")
         if self.step_ceiling < 1:
             raise ConfigError("step_ceiling must be at least 1")
+        if not self.schemes or not self.laws:
+            raise ConfigError("need at least one scheme and one law")
         unknown = [s for s in self.schemes if s not in SCHEME_KINDS]
         if unknown:
             raise ConfigError(f"unknown schemes: {', '.join(unknown)}")
@@ -121,15 +121,11 @@ class StudyConfig:
             self.drift
             spec = NoiseSpec(self.noise_kind, self.n_modes, self.noise_scale)
             NoiseStream(spec, self.seed, 0)
-            TimestepLaw(
-                "au1", self.deltas[0], self.horizon, self.phi, self.zeta,
-                self.xi, self.q0, self.tau_min,
-            )
             fewest = self.spatial_modes[0] if self.kind == "spatial" else self.n_modes
             initial_state(self.initial, fewest)
             for scheme_kind in self.schemes:
                 for token in self.laws:
-                    resolve_family(token, scheme_kind)
+                    make_law(self, token, scheme_kind, self.deltas[0])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -158,14 +154,12 @@ def initial_state(token: str, n_modes: int) -> SpectralField:
 
 
 def resolve_family(token: str, scheme_kind: str) -> str:
-    """Map a law token to a concrete family for a scheme.
+    """Map a law token type1..type6 to the `TimestepLaw` family a scheme runs.
 
-    Generic types resolve to the uniform-bound variant except under atea,
-    which takes the adaptive-bound variant; types 4-6 exist only in the
+    A type resolves to its uniform-bound variant except under atea, which
+    takes the adaptive-bound variant; types 4-6 exist only in the
     uniform-bound form, and type5 is the au3 law.
     """
-    if token in FAMILIES:
-        return token
     idx = int(token[4:])
     if scheme_kind == "atea":
         if idx > 3:
@@ -177,10 +171,8 @@ def resolve_family(token: str, scheme_kind: str) -> str:
 
 
 def make_law(cfg: StudyConfig, token: str, scheme_kind: str, delta: float) -> TimestepLaw:
-    family = resolve_family(token, scheme_kind)
-    fixed = delta * cfg.horizon if family == "uniform" else None
     return TimestepLaw(
-        family=family,
+        family=resolve_family(token, scheme_kind),
         delta=delta,
         horizon=cfg.horizon,
         phi=cfg.phi,
@@ -188,7 +180,6 @@ def make_law(cfg: StudyConfig, token: str, scheme_kind: str, delta: float) -> Ti
         xi=cfg.xi,
         q0=cfg.q0,
         tau_min=cfg.tau_min,
-        fixed_step=fixed,
     )
 
 
@@ -501,7 +492,6 @@ class StudyResult:
     cells: list[CellResult]
     slopes: list[tuple[str, str, FitResult]]  # (scheme, law token, fit)
     slopes_delta: list[tuple[str, str, FitResult]]
-    spearman: dict[tuple[str, str], float]
     stability: StabilityReport
 
     def cell(self, scheme: str, law: str, delta: float) -> CellResult:
@@ -581,25 +571,6 @@ def _cell(key, block) -> CellResult:
         outcomes=tuple(outcomes),
         n_modes=n_modes,
     )
-
-
-def _average_ranks(x) -> np.ndarray:
-    """1-based ranks of x, ties sharing the mean of the ranks they span."""
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="mergesort")
-    first = np.r_[True, x[order][1:] != x[order][:-1]]
-    group = np.empty(x.size, dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    bounds = np.r_[np.flatnonzero(first), x.size]
-    return 0.5 * (bounds[group] + bounds[group + 1] + 1)
-
-
-def spearman_rho(x, y) -> float:
-    """Spearman rank correlation of two series; NaN if either is constant."""
-    rx, ry = _average_ranks(x), _average_ranks(y)
-    if rx.min() == rx.max() or ry.min() == ry.max():
-        return math.nan
-    return float(np.corrcoef(rx, ry)[1, 0])
 
 
 def _wave(cfg, pool, task, jobs, rows, chunksize) -> list[CellResult]:
@@ -754,7 +725,6 @@ def convergence_study(cfg: StudyConfig) -> StudyResult:
     for c in cells:
         series.setdefault((c.scheme, c.law), []).append(c)
     slopes, slopes_delta = [], []
-    spearman: dict[tuple[str, str], float] = {}
     for (s, l), run in series.items():
         if len(run) >= 3:
             cost = [c.n_modes if spatial else c.mean_steps for c in run]
@@ -764,12 +734,8 @@ def convergence_study(cfg: StudyConfig) -> StudyResult:
             slopes_delta.append(
                 (s, l, fit_order([(1.0 / c.delta, c.rms) for c in run]))
             )
-        if len(cfg.deltas) >= 2:
-            spearman[(s, l)] = spearman_rho(
-                [c.delta for c in run], [c.rms for c in run]
-            )
     stability = stability_monitor(cells, cfg.stability_ceiling)
-    return StudyResult(cfg, cells, slopes, slopes_delta, spearman, stability)
+    return StudyResult(cfg, cells, slopes, slopes_delta, stability)
 
 
 def spatial_study(cfg: StudyConfig) -> StudyResult:

@@ -22,7 +22,7 @@ def temporal_cfg():
     return StudyConfig(
         deltas=(2.0**-2, 0.1, 2.0**-5),
         schemes=("te", "atea"),
-        laws=("type1", "au6"),
+        laws=("type1", "type3"),
         n_modes=32,
         samples=5,
         seed=9,
@@ -282,6 +282,9 @@ def test_cli_missing_config_file(tmp_path, capsys):
         ("step_ceiling = 10000000", "step_ceiling = 0"),
         ("tau_min = 0.2", "tau_min = 0.2\nuncapped_fallback = true"),
         ("tau_min = 0.2", "tau_min = 0.2\nprojected_drift_norm = true"),
+        ("laws = type1", "laws = au1"),
+        ("laws = type1", "laws ="),
+        ("schemes = te, ateu", "schemes ="),
     ],
 )
 def test_cli_rejects_bad_value_before_writing(tmp_path, capsys, line, bad):
@@ -290,9 +293,10 @@ def test_cli_rejects_bad_value_before_writing(tmp_path, capsys, line, bad):
     cfg_file = tmp_path / "bad.ini"
     cfg_file.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"), encoding="utf-8")
     out = tmp_path / "out"
-    assert run_cli("convergence", "--config", str(cfg_file), "--out", str(out)) == 2
-    assert "config error:" in capsys.readouterr().err
-    assert not out.exists()
+    for command in ("convergence", "trace"):
+        assert run_cli(command, "--config", str(cfg_file), "--out", str(out)) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_validate(capsys):
@@ -505,6 +509,7 @@ def test_cli_trace_rejects_unknown_scheme(tmp_path, capsys):
         ("smoke", ["--scheme", "ateu", "--path", "-1"]),
         ("smoke", ["--scheme", "ateu", "--path", str(2**32)]),
         ("spatial-desk", ["--scheme", "ateu"]),
+        ("smoke", ["--scheme", "ateu", "--law", "au1"]),
     ],
 )
 def test_cli_trace_rejects_bad_cell_before_writing(tmp_path, capsys, preset, cell):

@@ -271,24 +271,42 @@ def _outcome(coarse, reference=None) -> SampleOutcome:
 
 
 def _spatial_outcomes(cfg, scheme, n_ref, modes, paths) -> list[list[SampleOutcome]]:
-    """Per path, the outcome of the path at each mode count in `modes`
-    against its n_ref-mode reference.
+    """Per path of the block `paths`, the outcome of the path at each mode
+    count in `modes` against its n_ref-mode reference.
 
     All resolutions of a path share its partition and one n_ref-mode
-    stream, so every mode takes the same increments at every resolution;
-    the reference is integrated once per path.  The stream keeps its
-    draws, so each step is drawn once, by the reference, and every swept
-    N replays that very draw.
+    stream, so every mode takes the same increments at every resolution.
+    Each path's reference is integrated once, as its own `integrate`
+    call; then each swept N runs once, as one `integrate_block` whose
+    rows are the block's streams.  A stream keeps its draws, so each step
+    of a path is drawn once, by its reference, and every swept N replays
+    that very draw in the path's row.
+
+    The references stay one-row calls only so that the benchmark tracer,
+    which counts a study's work at `experiments.integrate`, still sees
+    every spatial path; running them as block rows too waits on a tracer
+    that counts at seams every path crosses.
     """
-    outcomes = []
-    for path in paths:
-        stream = _stream(cfg, path, n_ref).keep_draws()
-        ref = _run_path(cfg, scheme, stream, n_ref, exact_convolution=True)
-        outcomes.append([
-            _outcome(_run_path(cfg, scheme, stream, n, exact_convolution=True), ref)
-            for n in modes
-        ])
-    return outcomes
+    streams = [_stream(cfg, path, n_ref).keep_draws() for path in paths]
+    refs = [
+        _run_path(cfg, scheme, stream, n_ref, exact_convolution=True)
+        for stream in streams
+    ]
+    swept = [
+        integrate_block(
+            [scheme],
+            initial_state(cfg.initial, n),
+            cfg.horizon,
+            streams,
+            cfg.drift,
+            step_ceiling=cfg.step_ceiling,
+            exact_convolution=True,
+        )
+        for n in modes
+    ]
+    return [
+        [_outcome(runs[q][0], ref) for runs in swept] for q, ref in enumerate(refs)
+    ]
 
 
 def coupled_error_sample(
@@ -614,7 +632,7 @@ def _wave(cfg, pool, task, jobs, rows, chunksize) -> list[CellResult]:
     ]
 
 
-BLOCK_ROWS = 8  # sample paths per adaptive task; see `_temporal_cells`
+BLOCK_ROWS = 8  # sample paths per adaptive or spatial task; see `_temporal_cells`
 
 
 def _temporal_cells(
@@ -696,9 +714,11 @@ def _spatial_cells(
     receives almost no noise, and the error would collapse instead of
     showing the truncated noise tail.  `refinement` is not used.
 
-    One wave runs one task per sample (`_spatial_outcomes`): its reference
-    once, then every swept mode count against it.  As in a temporal study,
-    a task's CPU seconds are split equally among the cells it serves.
+    One wave runs one task per block of up to BLOCK_ROWS samples
+    (`_spatial_outcomes`): each sample's reference once, as one path, then
+    each swept mode count once, as one block over the task's samples.  As
+    in a temporal study, a task's CPU seconds are split equally among the
+    (cell, sample) outcomes it serves.
     """
     delta = cfg.deltas[0]
     law_token = cfg.laws[0]
@@ -706,7 +726,7 @@ def _spatial_cells(
     scheme = make_scheme(cfg, "te", law_token, delta, te_h)
     keys = [("te", law_token, delta, te_h, n) for n in cfg.spatial_modes]
     job = (keys, 0, (scheme, cfg.spatial_reference, cfg.spatial_modes))
-    return _wave(cfg, pool, _spatial_outcomes, [job], 1, 1)
+    return _wave(cfg, pool, _spatial_outcomes, [job], BLOCK_ROWS, 1)
 
 
 def convergence_study(cfg: StudyConfig) -> StudyResult:

@@ -38,7 +38,7 @@ CLAMP = "final-clamp"
 
 AU_FAMILIES = ("au1", "au2", "au3", "au4", "au6")
 AA_FAMILIES = ("aa1", "aa2", "aa3")
-FAMILIES = AU_FAMILIES + AA_FAMILIES + ("uniform",)
+FAMILIES = AU_FAMILIES + AA_FAMILIES
 
 SCHEME_KINDS = ("ae", "te", "ateu", "atea")
 
@@ -51,14 +51,12 @@ class TimestepLaw:
 
     `family` picks the formula; `delta` is the refinement level.  phi
     regularises denominators, (zeta, xi, q0) parameterise the adaptive low
-    bound, tau_min the uniform one.  The `uniform` family returns
-    `fixed_step` regardless of the state (useful for traces and branch
-    tests).
+    bound, tau_min the uniform one.
 
     au3 and au4 share one base ratio; au4 caps it at delta * horizon where
     au3 scales it by delta.  The law token `type5` runs au3; there is no
-    fifth uniform-bound family.  Every family but `uniform` is a distinct
-    function of the state.
+    fifth uniform-bound family.  Every family is a distinct function of
+    the state.
     """
 
     family: str
@@ -69,7 +67,6 @@ class TimestepLaw:
     xi: float = 10.0
     q0: float = 1.0
     tau_min: float = 0.2
-    fixed_step: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -86,9 +83,6 @@ class TimestepLaw:
             raise ValueError("the low bound needs xi > 0, zeta >= 0 and q0 >= 0")
         if self.tau_min <= 0:
             raise ValueError("tau_min must be positive")
-        if self.family == "uniform":
-            if self.fixed_step is None or self.fixed_step <= 0:
-                raise ValueError("uniform family needs a positive fixed_step")
 
     @property
     def needs_lp_norms(self) -> bool:
@@ -122,8 +116,6 @@ class TimestepLaw:
         if fam == "aa3":
             ratio = (1.0 / (drift_norm + phi)) ** _FOUR_THIRDS
             return ratio if l6 is None else min(l2**2 / (l6**6 + phi), ratio)
-        if fam == "uniform":
-            return self.fixed_step
         raise AssertionError(fam)
 
     def value(
@@ -144,8 +136,6 @@ class TimestepLaw:
         fam = self.family
         if fam in ("au1", "aa1", "au4"):
             return min(self.delta * self.horizon, base)
-        if fam == "uniform":
-            return base
         return self.delta * base
 
 

@@ -428,8 +428,9 @@ def test_cpu_seconds_is_the_cpu_time_of_the_cells_paths(monkeypatch):
                 {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
             ) * cfg.samples
         else:
-            # a spatial task serves one sample of every swept-N cell
-            tasks = cfg.samples
+            # a spatial task serves its block of two samples or one in
+            # every swept-N cell
+            tasks = math.ceil(cfg.samples / experiments.BLOCK_ROWS)
         # a task's CPU seconds are split equally among the outcomes it serves
         assert len(task_cpu) == tasks
         assert math.fsum(c.cpu_seconds for c in res.cells) == pytest.approx(
@@ -555,7 +556,8 @@ def test_te_paths_reach_experiments_integrate(monkeypatch):
     kinds.clear()
     cfg = spatial_config()
     convergence_study(cfg)
-    assert kinds.count("te") >= (len(cfg.spatial_modes) + 1) * cfg.samples
+    # one reference path per sample; the swept mode counts run as blocks
+    assert kinds.count("te") >= cfg.samples
 
 
 def test_aa_laws_reach_stepping_coeffs_to_values(monkeypatch):
@@ -690,49 +692,59 @@ def test_spatial_study_runs_in_one_map(monkeypatch):
 
     monkeypatch.setattr(experiments, "_map", counting)
     cfg = spatial_config()
+    assert experiments.BLOCK_ROWS == 8
     convergence_study(cfg)
-    # one task per sample: its reference, then every swept mode count
-    assert calls == [
-        (experiments._spatial_outcomes, [(s,) for s in range(cfg.samples)])
-    ]
+    # one task per block of samples: their references, then every swept
+    # mode count as one block
+    assert calls == [(experiments._spatial_outcomes, [(0, 1, 2)])]
+    calls.clear()
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2)
+    convergence_study(cfg)
+    assert calls == [(experiments._spatial_outcomes, [(0, 1), (2,)])]
 
 
 def test_spatial_reference_is_integrated_once_per_sample(monkeypatch):
-    calls = []
+    paths, blocks = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1].n_modes)
+    def one_path(*args, **kwargs):
+        paths.append((args[1].n_modes, args[3].path))
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "integrate", counting)
+    def one_block(*args, **kwargs):
+        blocks.append((args[1].n_modes, tuple(s.path for s in args[3])))
+        return integrate_block(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", one_path)
+    monkeypatch.setattr(experiments, "integrate_block", one_block)
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2)
     cfg = spatial_config()
     convergence_study(cfg)
-    # S references, then S paths for each of the K swept mode counts
-    assert sorted(calls) == sorted(
-        [cfg.spatial_reference] * cfg.samples
-        + [n for n in cfg.spatial_modes for _ in range(cfg.samples)]
-    )
+    # one reference path per sample, then one block per (task, swept N)
+    # over that task's samples
+    assert paths == [(cfg.spatial_reference, s) for s in range(cfg.samples)]
+    assert blocks == [
+        (n, task) for task in ((0, 1), (2,)) for n in cfg.spatial_modes
+    ]
 
 
 def test_spatial_sample_draws_each_step_once(monkeypatch):
-    # every swept N replays the reference path's draws: Philox is reset
-    # once per step of the sample, not once per step of each resolution
+    # every swept N replays each row's reference draws: Philox is reset
+    # once per step of each sample, not once per step of each resolution
     resets = []
     original = NoiseStream._generator
 
     def counting(stream, step):
-        resets.append(step)
+        resets.append((stream.path, step))
         return original(stream, step)
 
     monkeypatch.setattr(NoiseStream, "_generator", counting)
     cfg = spatial_config()
     scheme = make_scheme(cfg, "te", "type1", 2.0**-3)
-    (outcomes,) = experiments._spatial_outcomes(
-        cfg, scheme, 32, cfg.spatial_modes, (1,)
-    )
-    steps = outcomes[0].steps
-    assert [o.steps for o in outcomes] == [steps] * len(cfg.spatial_modes)
-    assert resets == list(range(steps))
+    block = experiments._spatial_outcomes(cfg, scheme, 32, cfg.spatial_modes, (1, 2))
+    steps = block[0][0].steps
+    for outcomes in block:
+        assert [o.steps for o in outcomes] == [steps] * len(cfg.spatial_modes)
+    assert resets == [(path, step) for path in (1, 2) for step in range(steps)]
 
 
 def test_spatial_outcomes_equal_fresh_streams_per_resolution():
@@ -803,16 +815,20 @@ def test_temporal_study_same_at_every_worker_count(tmp_path):
     _same_at_every_worker_count(tmp_path, cfg)
 
 
-def test_spatial_outcomes_equal_single_path_samples():
-    cfg = spatial_config()
-    res = convergence_study(cfg)
-    for cell in res.cells:
-        for s, stored in enumerate(cell.outcomes):
-            alone = coupled_error_sample(
-                cfg, "te", "type1", cell.delta, s, te_h=cell.delta * cfg.horizon,
-                n_modes=cell.n_modes, reference_modes=cfg.spatial_reference,
-            )
-            assert repr(alone) == repr(stored)
+def test_spatial_outcomes_equal_single_path_samples(monkeypatch):
+    # five samples: one block of five, then blocks of two, two and one
+    cfg = spatial_config(samples=5)
+    for rows in (8, 2):
+        monkeypatch.setattr(experiments, "BLOCK_ROWS", rows)
+        res = convergence_study(cfg)
+        for cell in res.cells:
+            for s, stored in enumerate(cell.outcomes):
+                alone = coupled_error_sample(
+                    cfg, "te", "type1", cell.delta, s,
+                    te_h=cell.delta * cfg.horizon, n_modes=cell.n_modes,
+                    reference_modes=cfg.spatial_reference,
+                )
+                assert repr(alone) == repr(stored), (rows, cell.n_modes, s)
 
 
 def test_coarse_blow_up_is_reported_before_the_reference():

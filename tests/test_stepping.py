@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -62,8 +63,27 @@ def one_step(scheme, field, tau, noise=None):
     return res.final.coeffs, res.records[0]
 
 
+@dataclass(frozen=True)
+class FixedLaw:
+    """A law whose value is `step` at every state, with the bound parameters
+    of a `TimestepLaw`: the stand-in for a law in the branch, clamp and
+    blow-up tests below.  `Scheme` does not check its law's type."""
+
+    step: float
+    delta: float = 1.0
+    horizon: float = 1.0
+    zeta: float = 1.0
+    xi: float = 10.0
+    q0: float = 1.0
+    tau_min: float = 0.2
+    needs_lp_norms = False
+
+    def value(self, l2, drift_norm, l4=None, l6=None):
+        return self.step
+
+
 def ae(tau):
-    return Scheme("ae", law=TimestepLaw("uniform", 1.0, fixed_step=tau))
+    return Scheme("ae", law=FixedLaw(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +106,6 @@ def test_law_validation():
         with pytest.raises(ValueError):
             TimestepLaw("au1", 0.25, **bad)
     TimestepLaw("au1", 0.25, zeta=0.0, q0=0.0)
-    with pytest.raises(ValueError):
-        TimestepLaw("uniform", 0.25)  # needs fixed_step
-    assert TimestepLaw("uniform", 0.25, fixed_step=0.1).value(1.0, 1.0) == 0.1
 
 
 def test_law_needs_lp_norms():
@@ -162,9 +179,9 @@ def test_scaled_law_below_capped_sibling(rng):
 
 
 def test_law_families_are_distinct(rng):
-    # each family but uniform is its own function of the state: no two
-    # agree on every state of a sampled set
-    families = [f for f in stepping.FAMILIES if f != "uniform"]
+    # each family is its own function of the state: no two agree on every
+    # state of a sampled set
+    families = list(stepping.FAMILIES)
     states = []
     for scale in rng.exponential(2.0, size=50):
         field = SpectralField(scale * rng.standard_normal(8) / np.arange(1, 9))
@@ -283,18 +300,18 @@ def test_hybrid_step_atea_adaptive_branch_at_zero_state():
 
 
 def test_hybrid_step_ateu_fallback_branch():
-    law = TimestepLaw("uniform", 0.5, fixed_step=0.15, tau_min=0.2)
+    law = FixedLaw(0.15, delta=0.5)
     record = first_record("ateu", law, e1())
     assert record.branch == FALLBACK
     assert record.tau == pytest.approx(min(0.2, 0.5), abs=1e-15)  # = tau_min here
-    law_up = TimestepLaw("uniform", 2.0**-4, fixed_step=1e-3, tau_min=0.2)
+    law_up = FixedLaw(1e-3, delta=2.0**-4)
     rec_capped = first_record("ateu", law_up, e1())
     assert rec_capped.branch == FALLBACK
     assert rec_capped.tau == pytest.approx(2.0**-4)  # fallback capped by delta*T
 
 
 def test_hybrid_step_tie_goes_adaptive():
-    law = TimestepLaw("uniform", 1.0, fixed_step=0.2, tau_min=0.2)
+    law = FixedLaw(0.2)
     record = first_record("ateu", law, e1())
     assert record.branch == ADAPTIVE
 
@@ -333,7 +350,7 @@ def test_partition_lands_exactly_on_horizon():
 
 
 def test_final_clamp_tagged_and_excluded_from_min_step():
-    law = TimestepLaw("uniform", 1.0, fixed_step=0.3)
+    law = FixedLaw(0.3)
     res = integrate(Scheme("ae", law=law), e1(), 1.0, stream(), CUBIC,
                     collect_records=True)
     taus = [r.tau for r in res.records]
@@ -361,7 +378,7 @@ def test_integrate_validation():
 
 
 def test_ateu_reduces_to_ae_when_fallback_never_fires():
-    law = TimestepLaw("uniform", 1.0, fixed_step=0.3, tau_min=0.2)
+    law = FixedLaw(0.3)
     a = integrate(Scheme("ateu", law=law), e1(), 1.0, stream(seed=5), CUBIC)
     b = integrate(Scheme("ae", law=law), e1(), 1.0, stream(seed=5), CUBIC)
     assert np.array_equal(a.final.coeffs, b.final.coeffs)
@@ -369,7 +386,7 @@ def test_ateu_reduces_to_ae_when_fallback_never_fires():
 
 
 def test_ateu_constant_law_below_bound_is_te():
-    law = TimestepLaw("uniform", 1.0, fixed_step=0.15, tau_min=0.2)
+    law = FixedLaw(0.15)
     a = integrate(Scheme("ateu", law=law), e1(), 1.0, stream(seed=9), CUBIC)
     b = integrate(Scheme("te", h=0.2), e1(), 1.0, stream(seed=9), CUBIC)
     assert np.array_equal(a.final.coeffs, b.final.coeffs)
@@ -407,7 +424,7 @@ def test_errors_survive_pickling():
 
 def test_blow_up_raises_with_location():
     big = SpectralField(np.array([1e130, 0.0, 0.0, 0.0]))
-    law = TimestepLaw("uniform", 1.0, fixed_step=0.5)
+    law = FixedLaw(0.5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as info:
             integrate(Scheme("ae", law=law), big, 1.0, stream(4), CUBIC)
@@ -423,7 +440,7 @@ def test_runaway_partition_from_degenerate_law():
 
 
 def test_step_ceiling_triggers_runaway_error():
-    law = TimestepLaw("uniform", 1.0, fixed_step=1e-4)
+    law = FixedLaw(1e-4)
     with pytest.raises(RunawayPartitionError) as info:
         integrate(
             Scheme("ae", law=law), e1(), 1.0, stream(), CUBIC, step_ceiling=50

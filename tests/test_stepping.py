@@ -181,7 +181,7 @@ def test_scaled_law_below_capped_sibling(rng):
 def test_law_families_are_distinct(rng):
     # each family is its own function of the state: no two agree on every
     # state of a sampled set
-    families = list(stepping.FAMILIES)
+    families = stepping.FAMILIES
     states = []
     for scale in rng.exponential(2.0, size=50):
         field = SpectralField(scale * rng.standard_normal(8) / np.arange(1, 9))

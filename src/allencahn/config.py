@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
+
+import numpy
+import scipy
 
 from .errors import ConfigError
 from .experiments import StudyConfig
@@ -194,6 +198,9 @@ class RunManifest:
         lines = [
             f"version = {__version__}",
             f"python = {sys.version.split()[0]}",
+            f"numpy = {numpy.__version__}",
+            f"scipy = {scipy.__version__}",
+            f"cpus = {os.cpu_count()}",
             f"command = {self.command}",
             f"config = {self.config_path}",
             f"seed = {self.seed}",

@@ -353,13 +353,23 @@ def coupled_error_sample(
     )
 
 
-def _adaptive_outcomes(cfg, variants, delta, paths) -> list[list[SampleOutcome]]:
-    """Outcomes of every adaptive (scheme, law) variant at `delta`, per path.
+def _temporal_outcomes(cfg, variants, delta, te_h, paths) -> list:
+    """Per path of the block `paths`, the outcome of every adaptive
+    (scheme, law) variant at `delta`; with no variants, the te sample at
+    uniform step te_h.
 
     The variants run on the block of paths as one `integrate_block`, so
     steps they share are taken once and paths that step alike share their
     transforms; each outcome equals the variant's `coupled_error_sample`.
+    A te path is its own `integrate` call, so the benchmark tracer, which
+    counts a study's work at `experiments.integrate`, still sees it; no
+    law enters a te path.
     """
+    if not variants:
+        return [
+            coupled_error_sample(cfg, "te", cfg.laws[0], delta, path, te_h=te_h)
+            for path in paths
+        ]
     n = cfg.n_modes
     block = integrate_block(
         [make_scheme(cfg, kind, token, delta) for kind, token in variants],
@@ -373,15 +383,6 @@ def _adaptive_outcomes(cfg, variants, delta, paths) -> list[list[SampleOutcome]]
     return [[_outcome(run) for run in runs] for runs in block]
 
 
-def _te_outcomes(cfg, delta, te_h, paths) -> list[SampleOutcome]:
-    """The te sample of each path at uniform step te_h, one `integrate` per
-    path; no law enters a te path."""
-    return [
-        coupled_error_sample(cfg, "te", cfg.laws[0], delta, path, te_h=te_h)
-        for path in paths
-    ]
-
-
 # The te baseline of a level matches the mean step count of the first of
 # these cells the study runs.
 _TE_MATCH_ORDER = ("ateu", "atea", "ae")
@@ -391,7 +392,10 @@ def te_fallback_step(cfg: StudyConfig, delta: float) -> float:
     """The te step the study matches at delta when no hybrid step adapts.
 
     That is the fallback length of the first of ateu, atea and ae the
-    config runs, or delta T if it runs none of them.
+    config runs, or delta T if it runs none of them.  Unless that first
+    scheme is ae, whose fallback length is no step it takes, a temporal
+    study guesses this step and runs the level's te paths at it beside
+    the adaptive variants (see `_temporal_cells`).
     """
     for kind in _TE_MATCH_ORDER:
         if kind in cfg.schemes:
@@ -591,15 +595,16 @@ def _cell(key, block) -> CellResult:
     )
 
 
-def _wave(cfg, pool, task, jobs, rows, chunksize) -> list[CellResult]:
-    """The cells of jobs (cell keys, delta level i, task args), in key order.
+def _wave(cfg, pool, task, jobs, rows, chunksize) -> dict[tuple, list]:
+    """Per cell key of jobs (cell keys, delta level i, task args), in key
+    order, its samples' (outcome, CPU seconds) pairs; see `_cell`.
 
     A job runs task(cfg, *args, paths) on blocks of up to `rows` of level
     i's paths, sample s at level i being path i * samples + s; a task
     gives, per path, one outcome per key or one outcome shared by all
-    keys.  Every task of the wave goes in one map.  A task's CPU seconds
-    are split equally among the (cell, sample) outcomes it serves, so the
-    cells' cpu_seconds sum to the tasks' CPU seconds.
+    keys.  Every task of the wave goes in one map, job by job.  A task's
+    CPU seconds are split equally among the (cell, sample) outcomes it
+    serves, so the pairs' CPU seconds sum to the tasks' CPU seconds.
     """
     samples = cfg.samples
     tasks = [
@@ -625,14 +630,15 @@ def _wave(cfg, pool, task, jobs, rows, chunksize) -> list[CellResult]:
                 out = [out] * len(keys)
             for cell_block, o in zip(collected[j], out):
                 cell_block.append((o, share))
-    return [
-        _cell(key, block)
+    return {
+        key: block
         for (keys, _, _), blocks in zip(jobs, collected)
         for key, block in zip(keys, blocks)
-    ]
+    }
 
 
-BLOCK_ROWS = 8  # sample paths per adaptive or spatial task; see `_temporal_cells`
+# sample paths per adaptive, guessed-te or spatial task; see `_temporal_cells`
+BLOCK_ROWS = 8
 
 
 def _temporal_cells(
@@ -640,59 +646,74 @@ def _temporal_cells(
 ) -> list[CellResult]:
     """The (scheme, law, delta) grid, in scheme, law, delta order.
 
-    Sample s at delta level i is path i * samples + s.  A first wave runs
-    one task per (level, block of up to BLOCK_ROWS samples), finest level
-    first, one task at a time per worker: every adaptive (scheme, law)
-    variant of the level on every path of the block as one
-    `integrate_block` (see `_adaptive_outcomes`).  At 8 rows of 1023 grid
-    points one transform of the block costs about half as much per row as
-    a single one; the saving shrinks from 32 rows on.  The te baseline
-    matches its uniform step to the realized mean adaptive step count, so
-    a second wave runs the te paths, one task per distinct (level, te_h,
-    sample): te cells of a level with equal te_h share those outcomes.
+    Sample s at delta level i is path i * samples + s.  One map runs, per
+    level, finest first, so the longest tasks start first, and one task
+    at a time per worker, two kinds of task per block of up to BLOCK_ROWS
+    of the level's samples (see `_temporal_outcomes`):
+    - every adaptive (scheme, law) variant of the level on every path of
+      the block, as one `integrate_block`;
+    - the block's te paths at the guessed step `te_fallback_step`, one
+      `integrate` per path, unless the te baseline matches ae.
+    At 8 rows of 1023 grid points one transform of the block costs about
+    half as much per row as a single one; the saving shrinks from 32 rows
+    on.
+
+    The te baseline matches its uniform step te_h to the realized mean
+    step count of the first ateu, atea or ae cell of its (law, level), or
+    runs at delta T if the study runs none.  A te cell whose te_h equals
+    the guess takes the guessed outcomes.  Only the remaining distinct
+    (level, te_h) pairs run, in a second map, one task per sample; the te
+    cells of a pair share its outcomes.  Such a cell also keeps its share
+    of the guessed task's CPU seconds, so the cells' cpu_seconds still sum
+    to the tasks' CPU seconds.
     """
-    cells: dict[tuple[str, str, float], CellResult] = {}
+    n = cfg.n_modes
     levels = list(enumerate(cfg.deltas))
     variants = [(sk, lt) for sk in cfg.schemes if sk != "te" for lt in cfg.laws]
-    if variants:
-        for cell in _wave(
-            cfg,
-            pool,
-            _adaptive_outcomes,
-            [
-                (
-                    [(sk, lt, delta, None, cfg.n_modes) for sk, lt in variants],
-                    i,
-                    (variants, delta),
-                )
-                for i, delta in reversed(levels)  # the finest, longest first
-            ],
-            BLOCK_ROWS,
-            1,
-        ):
-            cells[cell.scheme, cell.law, cell.delta] = cell
+    # ae never takes its fallback length, so a te baseline matched to ae
+    # gets no guess
+    matched = next((sk for sk in _TE_MATCH_ORDER if sk in cfg.schemes), None)
+    guess = "te" in cfg.schemes and matched != "ae"
+    jobs = []
+    for i, delta in reversed(levels):  # the finest, longest first
+        if variants:
+            keys = [(sk, lt, delta, None, n) for sk, lt in variants]
+            jobs.append((keys, i, (variants, delta, None)))
+        if guess:
+            te_h = te_fallback_step(cfg, delta)
+            keys = [("te", lt, delta, te_h, n) for lt in cfg.laws]
+            jobs.append((keys, i, ((), delta, te_h)))
+    blocks = _wave(cfg, pool, _temporal_outcomes, jobs, BLOCK_ROWS, 1)
+    cells = {
+        key[:3]: _cell(key, block) for key, block in blocks.items() if key[0] != "te"
+    }
     if "te" in cfg.schemes:
-        shared: dict[tuple[int, float], list] = {}
+        guessed = {key[:3]: block for key, block in blocks.items() if key[0] == "te"}
+        missed: dict[tuple[int, float], list] = {}
         for law_token in cfg.laws:
             for i, delta in levels:
                 te_h = delta * cfg.horizon
                 for preferred in _TE_MATCH_ORDER:
-                    key = (preferred, law_token, delta)
-                    if key in cells:
-                        te_h = cfg.horizon / cells[key].mean_steps
+                    match = cells.get((preferred, law_token, delta))
+                    if match is not None:
+                        te_h = cfg.horizon / match.mean_steps
                         break
-                shared.setdefault((i, te_h), []).append(
-                    ("te", law_token, delta, te_h, cfg.n_modes)
+                key = ("te", law_token, delta, te_h, n)
+                if key in blocks:
+                    cells[key[:3]] = _cell(key, blocks[key])
+                else:
+                    missed.setdefault((i, te_h), []).append(key)
+        if missed:
+            jobs = [
+                (keys, i, ((), cfg.deltas[i], te_h))
+                for (i, te_h), keys in missed.items()
+            ]
+            for key, block in _wave(cfg, pool, _temporal_outcomes, jobs, 1, 4).items():
+                earlier = guessed.get(key[:3], [(None, 0.0)] * len(block))
+                cells[key[:3]] = _cell(
+                    key,
+                    [(o, cpu + spent) for (o, cpu), (_, spent) in zip(block, earlier)],
                 )
-        for cell in _wave(
-            cfg,
-            pool,
-            _te_outcomes,
-            [(keys, i, (cfg.deltas[i], te_h)) for (i, te_h), keys in shared.items()],
-            1,
-            4,
-        ):
-            cells[cell.scheme, cell.law, cell.delta] = cell
     return [
         cells[(s, l, d)]
         for s in cfg.schemes
@@ -726,7 +747,8 @@ def _spatial_cells(
     scheme = make_scheme(cfg, "te", law_token, delta, te_h)
     keys = [("te", law_token, delta, te_h, n) for n in cfg.spatial_modes]
     job = (keys, 0, (scheme, cfg.spatial_reference, cfg.spatial_modes))
-    return _wave(cfg, pool, _spatial_outcomes, [job], BLOCK_ROWS, 1)
+    blocks = _wave(cfg, pool, _spatial_outcomes, [job], BLOCK_ROWS, 1)
+    return [_cell(key, block) for key, block in blocks.items()]
 
 
 def convergence_study(cfg: StudyConfig) -> StudyResult:

@@ -1,6 +1,9 @@
 import dataclasses
+import os
 
+import numpy as np
 import pytest
+import scipy
 
 from allencahn import cli
 from allencahn.cli import main
@@ -224,6 +227,9 @@ def test_manifest_render():
     assert "command = convergence" in text
     assert "status = complete" in text
     assert "seed = 3" in text
+    assert f"numpy = {np.__version__}" in text
+    assert f"scipy = {scipy.__version__}" in text
+    assert f"cpus = {os.cpu_count()}" in text
     assert text.count("output = ") == 2
     assert "detail" not in text
     m2 = dataclasses.replace(m, status="failed", detail="boom")

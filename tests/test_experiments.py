@@ -362,31 +362,90 @@ def test_pool_cancels_queued_paths_only_when_a_study_raises(monkeypatch):
     assert _RecordingPool.shutdowns[1:] == [((), {"cancel_futures": True})]
 
 
-def test_temporal_study_runs_in_two_maps(monkeypatch):
+def _counting_maps(monkeypatch):
+    """Record each `_map` call's task args and chunk size."""
     calls = []
     original = experiments._map
 
     def counting(pool, task, args, chunksize=4):
-        calls.append(([a[-1] for a in args], chunksize))
+        calls.append(([a[1:] for a in args], chunksize))
         return original(pool, task, args, chunksize)
 
     monkeypatch.setattr(experiments, "_map", counting)
+    return calls
+
+
+def test_temporal_study_runs_in_one_map_when_te_steps_match(monkeypatch):
+    calls = _counting_maps(monkeypatch)
     monkeypatch.setattr(experiments, "BLOCK_ROWS", 2)
     cfg = small_config(
         schemes=("te", "ateu", "atea"), laws=("type1", "type2"),
         deltas=(0.25, 0.125), samples=3,
     )
     res = convergence_study(cfg)
-    # one group task per (delta level, block of samples), finest level
-    # first and one at a time per worker; then one te task per distinct
-    # (delta level, te_h, sample)
-    (blocks, group_chunks), (te_tasks, te_chunks) = calls
-    assert blocks == [(3, 4), (5,), (0, 1), (2,)]
-    assert group_chunks == 1
+    guesses = [experiments.te_fallback_step(cfg, d) for d in cfg.deltas]
+    assert [c.te_h for c in res.cells if c.scheme == "te"] == guesses * 2
+    # per delta level, finest first and one task at a time per worker: one
+    # group task per block of samples, then one te task per block at the
+    # guessed step
+    [(tasks, chunksize)] = calls
+    assert chunksize == 1
+    variants = [(sk, lt) for sk in ("ateu", "atea") for lt in cfg.laws]
+    expected = []
+    for i in (1, 0):
+        delta = cfg.deltas[i]
+        for paths in ((3 * i, 3 * i + 1), (3 * i + 2,)):
+            expected.append((variants, delta, None, paths))
+        for paths in ((3 * i, 3 * i + 1), (3 * i + 2,)):
+            expected.append(((), delta, guesses[i], paths))
+    assert tasks == expected
+
+
+def test_te_cells_whose_step_misses_the_guess_run_in_a_second_map(monkeypatch):
+    # white noise at 2^-2: ateu under type4 adapts with its steps capped at
+    # delta T, so that te cell matches te_h = 0.25 against a guess of
+    # min(tau_min, delta T) = 0.2; every other te cell takes the guess
+    calls = _counting_maps(monkeypatch)
+    cfg = small_config(
+        noise_kind="white", laws=("type4", "type5"), deltas=(2.0**-2, 2.0**-3),
+        samples=3,
+    )
+    res = convergence_study(cfg)
+    te = {(c.law, c.delta): c for c in res.cells if c.scheme == "te"}
+    assert te["type4", 0.25].te_h == 0.25
+    assert experiments.te_fallback_step(cfg, 0.25) == 0.2
+    assert all(
+        c.te_h == experiments.te_fallback_step(cfg, c.delta)
+        for key, c in te.items() if key != ("type4", 0.25)
+    )
+    [_, (reruns, chunksize)] = calls
+    # only the missed (level, te_h) pair, one task per sample
+    assert reruns == [((), 0.25, 0.25, (s,)) for s in range(cfg.samples)]
+    assert chunksize == 4
+    for cell in te.values():
+        for s, stored in enumerate(cell.outcomes):
+            path = cfg.deltas.index(cell.delta) * cfg.samples + s
+            alone = coupled_error_sample(
+                cfg, "te", cell.law, cell.delta, path, te_h=cell.te_h
+            )
+            assert repr(alone) == repr(stored)
+    pooled = convergence_study(dataclasses.replace(cfg, threads=2))
+    for a, b in zip(res.cells, pooled.cells):
+        assert repr(dataclasses.replace(a, cpu_seconds=0.0)) == repr(
+            dataclasses.replace(b, cpu_seconds=0.0)
+        )
+
+
+def test_te_matched_to_ae_makes_no_guessed_task(monkeypatch):
+    # ae never takes its fallback length, so no te step is guessed
+    calls = _counting_maps(monkeypatch)
+    cfg = small_config(schemes=("te", "ae"), deltas=(2.0**-2, 2.0**-3), samples=3)
+    res = convergence_study(cfg)
+    [(tasks, _), (reruns, _)] = calls
+    assert all(variants for variants, *_ in tasks)
     te_paths = {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
-    assert len(te_tasks) == len(te_paths) * 3
-    assert all(len(paths) == 1 for paths in te_tasks)
-    assert te_chunks == 4
+    assert len(reruns) == len(te_paths) * cfg.samples
+    assert all(not variants for variants, *_ in reruns)
 
 
 def _napping(run, nap):
@@ -422,11 +481,16 @@ def test_cpu_seconds_is_the_cpu_time_of_the_cells_paths(monkeypatch):
             assert 0.0 < cell.cpu_seconds < 0.5 * nap * cfg.samples, cell
         if cfg.kind == "temporal":
             assert {c.scheme for c in res.cells} == {"te", "ateu", "atea"}
-            # a group task serves the (cell, sample) outcomes of its block
-            # of two samples or one, a te task those of one sample
-            tasks = 2 * 2 + len(
-                {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
-            ) * cfg.samples
+            # a group task and a guessed te task serve the (cell, sample)
+            # outcomes of their block of two samples or one, a rerun te
+            # task those of one sample; at delta 0.5 the te step misses
+            # the guess, and that cell keeps its share of the guessed task
+            missed = {
+                (c.delta, c.te_h) for c in res.cells if c.scheme == "te"
+                and c.te_h != experiments.te_fallback_step(cfg, c.delta)
+            }
+            assert len(missed) == 1
+            tasks = 2 * 2 + 2 * 2 + len(missed) * cfg.samples
         else:
             # a spatial task serves its block of two samples or one in
             # every swept-N cell

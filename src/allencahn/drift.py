@@ -52,10 +52,18 @@ class CubicDrift:
 
 
 def fast_dealias_size(n_modes: int) -> int:
-    # The one dealiasing grid: anything >= 3N+1 is exact, and M+1 = 4N a
-    # power of two keeps the DST on its fast path.
-    m = 4 * n_modes - 1
-    return m if m >= 3 * n_modes + 1 else 3 * n_modes + 1
+    # The one dealiasing grid: any M >= 3N+1 is exact.  This is the least
+    # such M whose M+1 is even, so x = 1/2 is a grid point, and has no prime
+    # factor above 5, which keeps the DST on its fast mixed-radix path.
+    cells = (3 * n_modes + 3) // 2 * 2  # M + 1: the least even >= 3N + 2
+    while True:
+        rest = cells
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return cells - 1
+        cells += 2
 
 
 def _check_dealias(n_modes: int, m: int) -> None:

@@ -654,9 +654,8 @@ def _temporal_cells(
       the block, as one `integrate_block`;
     - the block's te paths at the guessed step `te_fallback_step`, one
       `integrate` per path, unless the te baseline matches ae.
-    At 8 rows of 1023 grid points one transform of the block costs about
-    half as much per row as a single one; the saving shrinks from 32 rows
-    on.
+    At 8 rows of 799 grid points (N = 256) one transform of the block costs
+    about half as much per row as a single one; more rows save little more.
 
     The te baseline matches its uniform step te_h to the realized mean
     step count of the first ateu, atea or ae cell of its (law, level), or

@@ -3,6 +3,7 @@ import pytest
 
 from allencahn.drift import (
     CubicDrift,
+    DriftEvaluation,
     apply_drift,
     drift_l2_norm,
     evaluate_drift,
@@ -36,13 +37,45 @@ def test_pointwise_polynomial():
     assert np.allclose(drift(u), expected, atol=1e-13)
 
 
+def _grid_rule(m: int, n: int) -> bool:
+    # exact (M >= 3N+1), x = 1/2 on the grid (M+1 even), 5-smooth M+1
+    cells = m + 1
+    for p in (2, 3, 5):
+        while cells % p == 0:
+            cells //= p
+    return m >= 3 * n + 1 and (m + 1) % 2 == 0 and cells == 1
+
+
 def test_dealias_sizes():
-    assert fast_dealias_size(8) == 31
-    assert fast_dealias_size(8) >= 3 * 8 + 1
-    for n in (1, 2, 3, 5, 256):
-        assert fast_dealias_size(n) >= 3 * n + 1
+    assert fast_dealias_size(8) == 29
+    sizes = [fast_dealias_size(n) for n in (16, 32, 64, 128, 256, 512, 1024)]
+    assert sizes == [49, 99, 199, 399, 799, 1599, 3199]
+    for n in range(1, 1025):
+        m = fast_dealias_size(n)
+        assert _grid_rule(m, n), n
+        assert not any(_grid_rule(k, n) for k in range(3 * n + 1, m)), n
     with pytest.raises(ValueError):
         evaluate_drift(CUBIC, np.ones(8), m=24)  # below 3N+1
+
+
+@pytest.mark.parametrize("n", [16, 256, 512, 1024])
+@pytest.mark.parametrize(
+    "drift", [CUBIC, CubicDrift(-2.0, 0.0, 0.5)], ids=["cubic", "scaled"]
+)
+def test_default_grid_is_dealiased(drift, n, rng):
+    # An odd cubic maps a band-limited state to at most 3N modes, so its
+    # projection and image norm on the default grid equal those on an 8N
+    # grid; at N = 16 the grid is M = 3N + 1 itself.
+    for _ in range(3):
+        coeffs = rng.standard_normal(n) / np.arange(1, n + 1) ** 0.75
+        base = evaluate_drift(drift, coeffs)
+        fine = evaluate_drift(drift, coeffs, 8 * n)
+        scale = np.max(np.abs(fine.coeffs))
+        assert np.max(np.abs(base.coeffs - fine.coeffs)) <= 1e-12 * scale
+        assert base.image_norm == pytest.approx(fine.image_norm, rel=1e-12)
+    # on an aliasing grid the same comparison fails
+    aliased = DriftEvaluation(drift, coeffs, 2 * n - 1)
+    assert aliased.image_norm != pytest.approx(fine.image_norm, rel=1e-8)
 
 
 def test_default_grid_is_the_integrators(rng):

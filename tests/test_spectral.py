@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allencahn.drift import fast_dealias_size
 from allencahn.spectral import (
     SpectralField,
     apply_fractional_power,
@@ -101,14 +102,14 @@ def test_inverse_of_forward_on_bandlimited_grid(rng):
 def test_dst_bitwise_equal_to_scipy_fft():
     # the package takes its DST from scipy.fftpack; it must give exactly what
     # scipy.fft.dst gives on every grid the package transforms: 2N (Lp
-    # norms), 4N - 1 (drift) and 4N (sup norm)
+    # norms), fast_dealias_size(N) (drift) and 4N (sup norm)
     from scipy.fft import dst as fft_dst
 
     from allencahn import spectral
 
     rng = np.random.default_rng(8)
     for n in range(16, 1025):
-        for m in (2 * n, 4 * n - 1, 4 * n):
+        for m in (2 * n, fast_dealias_size(n), 4 * n):
             x = rng.standard_normal(m)
             assert np.array_equal(spectral.dst(x, type=1), fft_dst(x, type=1)), m
 
@@ -117,10 +118,10 @@ def test_dst_bitwise_equal_to_scipy_fft():
 @pytest.mark.parametrize("n", [16, 256])
 def test_block_transforms_equal_row_by_row(rows, n):
     # a (rows, N) block transforms along the last axis, each row bitwise as
-    # its own call, on the drift grid 4N - 1 and the Lp grid 2N
+    # its own call, on the drift grid fast_dealias_size(N) and the Lp grid 2N
     rng = np.random.default_rng(rows * n)
     block = rng.standard_normal((rows, n))
-    for m in (4 * n - 1, 2 * n):
+    for m in (fast_dealias_size(n), 2 * n):
         values = coeffs_to_values(block, m)
         back = values_to_coeffs(values, n)
         assert values.shape == (rows, m) and back.shape == (rows, n)

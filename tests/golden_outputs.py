@@ -97,7 +97,6 @@ def environment() -> dict:
         "scipy": scipy.__version__,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "machine": platform.machine(),
     }
 
 

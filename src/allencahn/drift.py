@@ -1,10 +1,10 @@
 """Dissipative cubic Nemytskii drift evaluated pseudo-spectrally.
 
 f(u) = a3 u^3 + a2 u^2 + a1 u + a0 with a3 < 0.  The drift of an N-mode
-field is evaluated on a dealiasing grid of M >= 3N+1 interior points, where
-the cubic image (at most 3N modes) is represented exactly, so the projected
-coefficients and the quadrature norms below carry no aliasing error for
-band-limited inputs.
+field is evaluated on the one grid of M = fast_dealias_size(N) >= 3N+1
+interior points, where the cubic image (at most 3N modes) is represented
+exactly, so the projected coefficients and the quadrature norms below,
+the state's L4/L6 norms among them, carry no aliasing error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, coeffs_to_values, values_to_coeffs
+from .spectral import (
+    SpectralField,
+    coeffs_to_values,
+    fast_dealias_size,
+    lp_quadrature,
+    values_to_coeffs,
+)
 
 
 @dataclass(frozen=True)
@@ -51,28 +57,6 @@ class CubicDrift:
         return abs(self.a1) + abs(self.a2) + 3.0 * abs(self.a3)
 
 
-def fast_dealias_size(n_modes: int) -> int:
-    # The one dealiasing grid: any M >= 3N+1 is exact.  This is the least
-    # such M whose M+1 is even, so x = 1/2 is a grid point, and has no prime
-    # factor above 5, which keeps the DST on its fast mixed-radix path.
-    cells = (3 * n_modes + 3) // 2 * 2  # M + 1: the least even >= 3N + 2
-    while True:
-        rest = cells
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return cells - 1
-        cells += 2
-
-
-def _check_dealias(n_modes: int, m: int) -> None:
-    if m < 3 * n_modes + 1:
-        raise ValueError(
-            f"dealiasing grid m={m} too small for {n_modes} modes; need >= {3 * n_modes + 1}"
-        )
-
-
 class DriftEvaluation:
     """Everything one drift evaluation yields, computed from two transforms.
 
@@ -80,9 +64,9 @@ class DriftEvaluation:
     synthesised once per step.  A (rows, N) block of states takes one
     transform pair along the last axis.  The norms are computed when read,
     so a step that needs only the coefficients pays for no norm; for a
-    block they are lists with one float per row, each equal bit for bit
-    to that row's own evaluation (one np.dot per row, never a pairwise
-    sum over the block).
+    block they are lists with one entry per row, each equal bit for bit
+    to that row's own evaluation (each row summed on its own, never in a
+    pairwise sum over the block).
     """
 
     __slots__ = ("grid_values", "image_values", "coeffs", "m", "a0")
@@ -125,6 +109,13 @@ class DriftEvaluation:
         return [math.sqrt(np.dot(row, row)) for row in c]
 
     @property
+    def lp_norms(self) -> list[tuple[float, float]]:
+        """(||X||_L4, ||X||_L6) of each row by quadrature on the grid, exact
+        for band-limited X; one pair for a single state."""
+        rows = np.atleast_2d(self.grid_values)
+        return [(lp_quadrature(v, 4), lp_quadrature(v, 6)) for v in rows]
+
+    @property
     def state_sup(self):
         """max |X| over the grid (exact, so a block row's equals its own)."""
         return np.abs(self.grid_values).max(axis=-1).tolist()
@@ -137,32 +128,28 @@ def evaluate_drift(
     n = state_coeffs.shape[-1]
     if m is None:
         m = fast_dealias_size(n)
-    _check_dealias(n, m)
+    if m < 3 * n + 1:
+        raise ValueError(
+            f"dealiasing grid m={m} too small for {n} modes; need >= {3 * n + 1}"
+        )
     return DriftEvaluation(drift, state_coeffs, m)
 
 
-def apply_drift(
-    drift: CubicDrift, field: SpectralField, m: int | None = None
-) -> SpectralField:
+def apply_drift(drift: CubicDrift, field: SpectralField) -> SpectralField:
     """Projected drift F^N(X): dealiased evaluation, then projection onto N modes.
 
-    Exact to round-off for band-limited fields whenever m >= 3N+1.
+    Exact to round-off for band-limited fields.
     """
-    ev = evaluate_drift(drift, field.coeffs, m)
-    return SpectralField(ev.coeffs)
+    return SpectralField(evaluate_drift(drift, field.coeffs).coeffs)
 
 
-def drift_l2_norm(
-    drift: CubicDrift, field: SpectralField, m: int | None = None
-) -> float:
+def drift_l2_norm(drift: CubicDrift, field: SpectralField) -> float:
     """L2 norm of the drift image f(X), the norm the timestep laws consume."""
-    return evaluate_drift(drift, field.coeffs, m).image_norm
+    return evaluate_drift(drift, field.coeffs).image_norm
 
 
-def inner_product_x_f(
-    drift: CubicDrift, field: SpectralField, m: int | None = None
-) -> float:
+def inner_product_x_f(drift: CubicDrift, field: SpectralField) -> float:
     """<X, f(X)> by quadrature on the dealiasing grid (exact for band-limited X)."""
-    ev = evaluate_drift(drift, field.coeffs, m)
+    ev = evaluate_drift(drift, field.coeffs)
     # Boundary terms vanish with the state.
     return float(np.dot(ev.grid_values, ev.image_values) / (ev.m + 1))

@@ -5,6 +5,9 @@ e_i(x) = sqrt(2) sin(i pi x) of the Dirichlet Laplacian A = -d^2/dx^2,
 with eigenvalues lambda_i = pi^2 i^2.  A field is stored as its first N
 coefficients; grid representations live on the interior points
 x_k = k/(M+1), k = 1..M, where the boundary values are identically zero.
+Every grid quantity uses one grid, M = fast_dealias_size(N) >= 3N + 1: it
+holds the cubic drift's image exactly, and its quadrature of |X|^p is
+exact up to p = 6, since |X|^6 has no frequency at or above 2(M+1).
 """
 
 from __future__ import annotations
@@ -26,6 +29,21 @@ def eigenvalues(n_modes: int) -> np.ndarray:
     lam = (np.pi * np.arange(1, n_modes + 1)) ** 2
     lam.flags.writeable = False
     return lam
+
+
+def fast_dealias_size(n_modes: int) -> int:
+    # The one grid: any M >= 3N+1 is exact.  This is the least such M whose
+    # M+1 is even, so x = 1/2 is a grid point, and has no prime factor
+    # above 5, which keeps the DST on its fast mixed-radix path.
+    cells = (3 * n_modes + 3) // 2 * 2  # M + 1: the least even >= 3N + 2
+    while True:
+        rest = cells
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return cells - 1
+        cells += 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,32 +124,26 @@ def l2_norm(field: SpectralField) -> float:
     return float(np.linalg.norm(field.coeffs))
 
 
-def sup_norm(field: SpectralField, oversample: int = 4) -> float:
-    """Max of |X| on an oversampled grid (a lower bound on the true sup norm).
+def sup_norm(field: SpectralField) -> float:
+    """Max of |X| over the grid fast_dealias_size(N), a lower bound on the sup norm.
 
-    Diagnostic only; oversample >= 2 keeps the bound reasonably tight.
+    x = 1/2 is a grid point, so the bound is attained for e_1.
     """
-    if oversample < 1:
-        raise ValueError("oversample factor must be at least 1")
-    vals = coeffs_to_values(field.coeffs, oversample * field.n_modes)
+    vals = coeffs_to_values(field.coeffs, fast_dealias_size(field.n_modes))
     return float(np.max(np.abs(vals)))
 
 
-def lp_norm(field: SpectralField, p: int, m: int | None = None) -> float:
-    """L^p norm, p in {2, 4, 6}, by uniform-grid quadrature with M points.
+def lp_norm(field: SpectralField, p: int) -> float:
+    """L^p norm, p in {2, 4, 6}, by quadrature on the grid fast_dealias_size(N).
 
     The quadrature is (1/(M+1)) sum |X(x_k)|^p; the boundary terms of the
-    trapezoid rule vanish because the field does.  Defaults to M = 2N,
-    which integrates |X|^4 exactly for band-limited X.
+    trapezoid rule vanish because the field does.  It is exact up to p = 6
+    for band-limited X.
     """
     if p not in (2, 4, 6):
         raise ValueError(f"unsupported norm order p={p}; expected one of 2, 4, 6")
-    n = field.n_modes
-    if m is None:
-        m = 2 * n
-    if m < 2 * n:
-        raise ValueError(f"quadrature grid m={m} must be at least 2N={2 * n}")
-    return lp_quadrature(coeffs_to_values(field.coeffs, m), p)
+    vals = coeffs_to_values(field.coeffs, fast_dealias_size(field.n_modes))
+    return lp_quadrature(vals, p)
 
 
 def lp_quadrature(values: np.ndarray, p: int) -> float:

@@ -27,10 +27,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .drift import CubicDrift, evaluate_drift, fast_dealias_size
+from .drift import CubicDrift, evaluate_drift
 from .errors import BlowUpError, RunawayPartitionError
 from .noise import NoiseStream
-from .spectral import SpectralField, coeffs_to_values, eigenvalues, lp_quadrature
+from .spectral import SpectralField, coeffs_to_values, eigenvalues, fast_dealias_size
 
 ADAPTIVE = "adaptive"
 FALLBACK = "tamed-fallback"
@@ -196,17 +196,6 @@ class IntegrationResult:
     reference_final: SpectralField | None = None
 
 
-def _l4_l6(coeffs: np.ndarray) -> list[tuple[float, float]]:
-    """The L4 and L6 norms of each row of a (rows, N) state block, for the aa laws.
-
-    Quadrature on the M = 2N grid, exact for band-limited states.  One
-    transform serves the block; each row's sums are its own, so a row gets
-    the norms of its own one-row call bit for bit.
-    """
-    vals = coeffs_to_values(coeffs, 2 * coeffs.shape[-1])
-    return [(lp_quadrature(v, 4), lp_quadrature(v, 6)) for v in vals]
-
-
 def _select_branch(
     scheme: Scheme, tau_m: float, l2: float
 ) -> tuple[str, float, bool]:
@@ -344,11 +333,14 @@ def integrate_block(
     row's reference state, for the first reference substep.  Every member
     of every row then picks its own branch, step length and final clamp.
     An aa law is first valued without its Lp term, an upper bound on its
-    value: the group's L4/L6 norms are computed, once, only when that bound
-    puts some member on the adaptive branch.  The members that move alike,
-    by (step length, tamed update, final step), take that step together:
-    one increment draw per row, one coarse update of their rows and r
-    reference substeps, r - 1 of them with a drift evaluation of their own.
+    value: the group's L4/L6 norms are read, once, only when that bound
+    puts some member on the adaptive branch.  They come from the drift
+    evaluation (`DriftEvaluation.lp_norms`): the norms, the sups and the
+    drift share one grid, fast_dealias_size(N).  The members that move
+    alike, by (step length, tamed update, final step), take that step
+    together: one increment draw per row, one coarse update of their rows
+    and r reference substeps, r - 1 of them with a drift evaluation of
+    their own.
     A group whose members move differently splits, and the parts never
     meet again.  A row that blows up ends its members there; the other
     rows go on.
@@ -435,7 +427,7 @@ def integrate_block(
                     branch, tau, use_tamed = _select_branch(scheme, tau_m, l2)
                     if branch == ADAPTIVE and law.needs_lp_norms:
                         if not lp:
-                            lp = _l4_l6(x)
+                            lp = ev.lp_norms
                         tau_m = law.value(l2, drift_norm, *lp[pos])
                         branch, tau, use_tamed = _select_branch(scheme, tau_m, l2)
 

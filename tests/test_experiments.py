@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from allencahn import experiments, stepping
+from allencahn import experiments
 from allencahn.drift import fast_dealias_size
 from allencahn.errors import (
     BlowUpError,
@@ -622,23 +622,6 @@ def test_te_paths_reach_experiments_integrate(monkeypatch):
     convergence_study(cfg)
     # one reference path per sample; the swept mode counts run as blocks
     assert kinds.count("te") >= cfg.samples
-
-
-def test_aa_laws_reach_stepping_coeffs_to_values(monkeypatch):
-    # bench/tracer.py counts the aa laws' Lp norms by wrapping
-    # stepping.coeffs_to_values and telling them from the final sup by
-    # the grid size m = 2N
-    grids = []
-    original = stepping.coeffs_to_values
-
-    def recording(coeffs, m):
-        grids.append((coeffs.shape[-1], m))
-        return original(coeffs, m)
-
-    monkeypatch.setattr(stepping, "coeffs_to_values", recording)
-    cfg = small_config(schemes=("atea",), laws=("type3",), samples=3)
-    convergence_study(cfg)
-    assert (cfg.n_modes, 2 * cfg.n_modes) in grids
 
 
 def test_spatial_study_sweep():

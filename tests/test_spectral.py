@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allencahn.drift import fast_dealias_size
 from allencahn.spectral import (
     SpectralField,
     apply_fractional_power,
     apply_semigroup,
     coeffs_to_values,
     eigenvalues,
+    fast_dealias_size,
     l2_norm,
     lp_norm,
+    lp_quadrature,
     sup_norm,
     values_to_coeffs,
 )
@@ -101,8 +102,8 @@ def test_inverse_of_forward_on_bandlimited_grid(rng):
 
 def test_dst_bitwise_equal_to_scipy_fft():
     # the package takes its DST from scipy.fftpack; it must give exactly what
-    # scipy.fft.dst gives on every grid the package transforms: 2N (Lp
-    # norms), fast_dealias_size(N) (drift) and 4N (sup norm)
+    # scipy.fft.dst gives on the one grid fast_dealias_size(N) (drift, sup
+    # and Lp norms), and on the plain multiples 2N and 4N as well
     from scipy.fft import dst as fft_dst
 
     from allencahn import spectral
@@ -118,7 +119,7 @@ def test_dst_bitwise_equal_to_scipy_fft():
 @pytest.mark.parametrize("n", [16, 256])
 def test_block_transforms_equal_row_by_row(rows, n):
     # a (rows, N) block transforms along the last axis, each row bitwise as
-    # its own call, on the drift grid fast_dealias_size(N) and the Lp grid 2N
+    # its own call, on the one grid fast_dealias_size(N) and on a 2N grid
     rng = np.random.default_rng(rows * n)
     block = rng.standard_normal((rows, n))
     for m in (fast_dealias_size(n), 2 * n):
@@ -156,7 +157,7 @@ def test_transform_dimension_errors():
 def test_parseval_quadrature_property(coeff_list):
     field = SpectralField(np.array(coeff_list))
     coeff_norm = l2_norm(field)
-    quad_norm = lp_norm(field, 2, m=2 * field.n_modes)
+    quad_norm = lp_norm(field, 2)
     assert abs(coeff_norm - quad_norm) <= 1e-10 * max(coeff_norm, 1.0)
 
 
@@ -206,37 +207,34 @@ def test_l2_norm_pythagorean():
 
 
 def test_sup_norm_first_mode():
-    # true sup of sqrt(2) sin(pi x) is sqrt(2); the oversampled grid gets
-    # within O(1/(oversample*N)^2) from below
+    # true sup of sqrt(2) sin(pi x) is sqrt(2), attained at x = 1/2, which
+    # is a grid point because M + 1 is even
     coeffs = np.zeros(8)
     coeffs[0] = 1.0
-    s = sup_norm(SpectralField(coeffs))
-    assert s <= np.sqrt(2.0) + 1e-12
-    assert s == pytest.approx(np.sqrt(2.0), abs=5e-3)
-    assert sup_norm(SpectralField(coeffs), oversample=64) == pytest.approx(
-        np.sqrt(2.0), abs=1e-5
-    )
+    assert (fast_dealias_size(8) + 1) % 2 == 0
+    assert abs(sup_norm(SpectralField(coeffs)) - np.sqrt(2.0)) <= 1e-15
 
 
 def test_lp_norm_orders():
     field = SpectralField(np.array([1.0]))
     # ||e_1||_L4^4 = 4 int sin^4 = 3/2;  ||e_1||_L6^6 = 8 int sin^6 = 5/2
-    assert lp_norm(field, 4, m=8) == pytest.approx(1.5**0.25, abs=1e-12)
-    assert lp_norm(field, 6, m=8) == pytest.approx(2.5 ** (1.0 / 6.0), abs=1e-12)
-    assert lp_norm(field, 2, m=8) == pytest.approx(1.0, abs=1e-12)
+    assert lp_norm(field, 4) == pytest.approx(1.5**0.25, abs=1e-12)
+    assert lp_norm(field, 6) == pytest.approx(2.5 ** (1.0 / 6.0), abs=1e-12)
+    assert lp_norm(field, 2) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         lp_norm(field, 3)
-    with pytest.raises(ValueError):
-        lp_norm(field, 4, m=1)
 
 
-def test_lp_norm_default_grid_aliasing_is_small(rng):
-    # the default M = 2N grid is exact for p = 4 and within rounding-level
-    # aliasing for p = 6 on decaying spectra
-    coeffs = rng.standard_normal(32) / np.arange(1, 33) ** 2
-    field = SpectralField(coeffs)
-    assert lp_norm(field, 4) == pytest.approx(lp_norm(field, 4, m=320), rel=1e-12)
-    assert lp_norm(field, 6) == pytest.approx(lp_norm(field, 6, m=320), rel=1e-3)
+def test_lp_norm_default_grid_is_exact(rng):
+    # |X|^6 holds frequencies up to 6N < 2(M+1), so the quadrature on the
+    # default grid is exact for p = 4 and 6: it equals a 16N-grid reference
+    for n in (8, 40, 256):
+        for _ in range(10):
+            field = SpectralField(rng.standard_normal(n) / np.arange(1, n + 1))
+            fine = coeffs_to_values(field.coeffs, 16 * n)
+            for p in (4, 6):
+                want = lp_quadrature(fine, p)
+                assert lp_norm(field, p) == pytest.approx(want, rel=1e-12), (n, p)
 
 
 def test_smoothing_ratio_bounded(rng):

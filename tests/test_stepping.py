@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allencahn import stepping
-from allencahn.drift import CubicDrift, evaluate_drift
+from allencahn.drift import CubicDrift, DriftEvaluation, evaluate_drift
 from allencahn.errors import BlowUpError, RunawayPartitionError
 from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import SpectralField, eigenvalues, l2_norm, lp_norm
@@ -19,7 +19,6 @@ from allencahn.stepping import (
     FALLBACK,
     Scheme,
     TimestepLaw,
-    _l4_l6,
     _select_branch,
     integrate,
     integrate_block,
@@ -678,10 +677,11 @@ def test_group_raises_its_members_runaway():
 def test_block_l4_l6_equal_row_by_row(rows):
     rng = np.random.default_rng(rows)
     block = rng.standard_normal((rows, 64)) / np.arange(1, 65)
-    norms = _l4_l6(block)
+    norms = evaluate_drift(CUBIC, block).lp_norms
     assert len(norms) == rows
     for row, (l4, l6) in zip(block, norms):
-        assert (l4, l6) == _l4_l6(row[None])[0]
+        assert (l4, l6) == evaluate_drift(CUBIC, row[None]).lp_norms[0]
+        assert [(l4, l6)] == evaluate_drift(CUBIC, row).lp_norms
         field = SpectralField(row)
         assert (l4, l6) == (lp_norm(field, 4), lp_norm(field, 6))
 
@@ -761,14 +761,15 @@ def _desk_atea(delta):
 
 
 def _counting_l4_l6(monkeypatch):
+    """Records the row count of every read of DriftEvaluation.lp_norms."""
     rows = []
-    original = stepping._l4_l6
+    original = DriftEvaluation.lp_norms
 
-    def counting(coeffs):
-        rows.append(len(coeffs))
-        return original(coeffs)
+    def counting(ev):
+        rows.append(len(ev.grid_values))
+        return original.fget(ev)
 
-    monkeypatch.setattr(stepping, "_l4_l6", counting)
+    monkeypatch.setattr(DriftEvaluation, "lp_norms", property(counting))
     return rows
 
 

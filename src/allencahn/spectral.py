@@ -8,17 +8,55 @@ x_k = k/(M+1), k = 1..M, where the boundary values are identically zero.
 Every grid quantity uses one grid, M = fast_dealias_size(N) >= 3N + 1: it
 holds the cubic drift's image exactly, and its quadrature of |X|^p is
 exact up to p = 6, since |X|^6 has no frequency at or above 2(M+1).
+
+The DST-I comes from scipy's pocketfft extension, loaded on its own, so
+importing the package does not import scipy.fft, scipy.fftpack or
+scipy.special.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
-from scipy.fftpack import dst  # pocketfft without scipy.fft's backend dispatch
+import scipy
 
 _SQRT2 = np.sqrt(2.0)
+
+
+def _load_pocketfft():
+    # scipy.fft's package __init__ imports scipy.special and the array-API
+    # layer, about 0.3 s; its compiled pocketfft imports nothing from scipy.
+    # Loading the extension by file relies on scipy's private layout, checked
+    # on scipy 1.17.1 only.  There is no second code path: a scipy without
+    # the file fails here, at import.
+    where = Path(scipy.__path__[0]) / "fft" / "_pocketfft"
+    finder = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.fft._pocketfft.pypocketfft")
+    if spec is None:
+        raise ImportError(
+            f"no pypocketfft extension in {where} (scipy {scipy.__version__})"
+        )
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_pocketfft = _load_pocketfft()
+
+
+def dst(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Unnormalised DST-I of a float array along its last axis, single-threaded.
+
+    The same C call, with the same arguments, that scipy.fftpack.dst(x,
+    type=1) and scipy.fft.dst(x, type=1) make; with overwrite_x the result
+    is written into x.
+    """
+    return _pocketfft.dst(x, 1, (-1,), 0, x if overwrite_x else None, 1)
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +119,7 @@ def coeffs_to_values(coeffs: np.ndarray, m: int) -> np.ndarray:
     # the basis carries an extra sqrt(2).
     buf = np.zeros(coeffs.shape[:-1] + (m,))
     buf[..., :n] = coeffs
-    values = dst(buf, type=1, overwrite_x=True)
+    values = dst(buf, overwrite_x=True)
     values /= _SQRT2
     return values
 
@@ -99,7 +137,7 @@ def values_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
         raise ValueError(
             f"grid with {m} interior points cannot resolve {n_modes} modes"
         )
-    return dst(values, type=1)[..., :n_modes] * (_SQRT2 / (2.0 * (m + 1)))
+    return dst(values)[..., :n_modes] * (_SQRT2 / (2.0 * (m + 1)))
 
 
 def apply_semigroup(field: SpectralField, t: float) -> SpectralField:

@@ -898,16 +898,28 @@ def test_temporal_sample_rejects_reference_modes():
         )
 
 
-def test_import_leaves_scipy_stats_out():
+def _fresh_import_has(code, module):
     import subprocess
     import sys
 
-    code = "import sys, allencahn; print('scipy.stats' in sys.modules)"
+    code += f"; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_out():
+    assert not _fresh_import_has("import sys, allencahn", "scipy.stats")
+
+
+@pytest.mark.parametrize("module", ["scipy.fft", "scipy.fftpack", "scipy.special"])
+def test_import_leaves_scipy_fft_and_special_out(module):
+    # what a CLI run imports before its study: the DST is scipy's pocketfft
+    # extension, loaded without scipy.fft's package __init__
+    code = "import sys, allencahn; from allencahn.config import parse_config"
+    assert not _fresh_import_has(code, module)
 
 
 def test_package_exports_resolve():

@@ -101,9 +101,10 @@ def test_inverse_of_forward_on_bandlimited_grid(rng):
 
 
 def test_dst_bitwise_equal_to_scipy_fft():
-    # the package takes its DST from scipy.fftpack; it must give exactly what
-    # scipy.fft.dst gives on the one grid fast_dealias_size(N) (drift, sup
-    # and Lp norms), and on the plain multiples 2N and 4N as well
+    # spectral.dst binds scipy's pocketfft extension directly; it must give
+    # exactly what scipy.fft.dst gives on the one grid fast_dealias_size(N)
+    # (drift, sup and Lp norms), and on the plain multiples 2N and 4N as
+    # well; on (rows, M) blocks; and in place, as coeffs_to_values calls it
     from scipy.fft import dst as fft_dst
 
     from allencahn import spectral
@@ -112,7 +113,63 @@ def test_dst_bitwise_equal_to_scipy_fft():
     for n in range(16, 1025):
         for m in (2 * n, fast_dealias_size(n), 4 * n):
             x = rng.standard_normal(m)
-            assert np.array_equal(spectral.dst(x, type=1), fft_dst(x, type=1)), m
+            assert np.array_equal(spectral.dst(x), fft_dst(x, type=1)), m
+        for rows in (1, 3, 8):
+            block = rng.standard_normal((rows, fast_dealias_size(n)))
+            want = fft_dst(block, type=1)
+            assert np.array_equal(spectral.dst(block), want), (n, rows)
+            again = block.copy()
+            assert spectral.dst(again, overwrite_x=True) is again
+            assert np.array_equal(again, want), (n, rows)
+
+
+_IMPORT_ORDER_CHILD = """
+import sys
+import numpy as np
+if sys.argv[1] == "first":
+    from scipy.fft import dst as fft_dst
+    from allencahn import spectral
+else:
+    from allencahn import spectral
+    from scipy.fft import dst as fft_dst
+rng = np.random.default_rng(9)
+for n in (16, 100, 256, 512):
+    block = rng.standard_normal((3, spectral.fast_dealias_size(n)))
+    want = fft_dst(block, type=1)
+    assert np.array_equal(spectral.dst(block), want), n
+    assert np.array_equal(spectral.dst(block.copy(), overwrite_x=True), want), n
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("scipy_fft", ["first", "last"])
+def test_dst_bitwise_equal_to_scipy_fft_in_either_import_order(scipy_fft):
+    # the benchmark's parent imports scipy.fft before the package; a CLI run
+    # never imports it, and a user may import it after
+    import os
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ORDER_CHILD, scipy_fft],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "ok"
+
+
+def test_missing_pocketfft_extension_fails_loudly(tmp_path, monkeypatch):
+    # no fallback: a scipy without the extension where spectral looks for it
+    # is an ImportError naming the directory and the scipy version
+    import scipy
+
+    from allencahn import spectral
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError) as err:
+        spectral._load_pocketfft()
+    assert str(tmp_path / "fft" / "_pocketfft") in str(err.value)
+    assert scipy.__version__ in str(err.value)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 8])

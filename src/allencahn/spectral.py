@@ -30,7 +30,7 @@ _SQRT2 = np.sqrt(2.0)
 
 def _load_pocketfft():
     # scipy.fft's package __init__ imports scipy.special and the array-API
-    # layer, about 0.3 s; its compiled pocketfft imports nothing from scipy.
+    # layer; its compiled pocketfft imports nothing from scipy.
     # Loading the extension by file relies on scipy's private layout, checked
     # on scipy 1.17.1 only.  There is no second code path: a scipy without
     # the file fails here, at import.

@@ -111,7 +111,7 @@ class DriftEvaluation:
     @property
     def lp_norms(self) -> list[tuple[float, float]]:
         """(||X||_L4, ||X||_L6) of each row by quadrature on the grid, exact
-        for band-limited X; one pair for a single state."""
+        for band-limited X; a one-pair list for a single state."""
         rows = np.atleast_2d(self.grid_values)
         return [(lp_quadrature(v, 4), lp_quadrature(v, 6)) for v in rows]
 

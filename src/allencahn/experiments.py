@@ -323,18 +323,21 @@ def coupled_error_sample(
     """Strong error of one coarse/reference pair on one sample path.
 
     Under a temporal config the reference is the coarse trajectory's r-fold
-    refinement at the same mode count.  Under a spatial config it is the
-    same te scheme at `reference_modes` (by default the config's
-    `spatial_reference`) on the same uniform partition: both resolutions
-    take the exact-convolution noise form and the same per-mode increments,
-    one per step, so the error is the spatial truncation alone and
-    `refinement` is not used.  A spatial sample needs its swept `n_modes`.
-    A spatial `convergence_study` runs the same `_spatial_outcomes`, with
-    the reference shared by every swept mode count.
+    refinement, and the sample is a one-path `_temporal_outcomes`.  Under a
+    spatial config it is the same te scheme at `reference_modes` (by
+    default the config's `spatial_reference`) on the same uniform
+    partition: both resolutions take the exact-convolution noise form and
+    the same per-mode increments, one per step, so the error is the
+    spatial truncation alone and `refinement` is not used.  A spatial
+    sample needs its swept `n_modes`, and is a one-path `_spatial_outcomes`.
+    `te_h` applies to te alone, and `n_modes` and `reference_modes` to
+    spatial samples alone; any other use raises `ValueError`.
 
     Divergent paths are reported, not raised; they carry the blow-up time
     and count as excluded in the cell aggregation.
     """
+    if te_h is not None and scheme_kind != "te":
+        raise ValueError(f"te_h applies to te samples only, not {scheme_kind}")
     scheme = make_scheme(cfg, scheme_kind, law_token, delta, te_h)
     if cfg.kind == "spatial":
         if scheme_kind != "te":
@@ -345,34 +348,31 @@ def coupled_error_sample(
             cfg.spatial_reference if reference_modes is None else reference_modes
         )
         return _spatial_outcomes(cfg, scheme, n_ref, (n_modes,), (path,))[0][0]
-    n = n_modes if n_modes is not None else cfg.n_modes
-    if reference_modes is not None:
-        raise ValueError("reference_modes applies to spatial samples only")
-    return _outcome(
-        _run_path(cfg, scheme, _stream(cfg, path, n), n, refinement=cfg.refinement)
-    )
+    if n_modes is not None or reference_modes is not None:
+        raise ValueError("n_modes and reference_modes apply to spatial samples only")
+    return _temporal_outcomes(cfg, [scheme], (path,))[0][0]
 
 
-def _temporal_outcomes(cfg, variants, delta, te_h, paths) -> list:
-    """Per path of the block `paths`, the outcome of every adaptive
-    (scheme, law) variant at `delta`; with no variants, the te sample at
-    uniform step te_h.
+def _temporal_outcomes(cfg, schemes, paths) -> list[list[SampleOutcome]]:
+    """Per path of the block `paths`, the outcome of every scheme of
+    `schemes` against its r-fold refined reference.
 
-    The variants run on the block of paths as one `integrate_block`, so
-    steps they share are taken once and paths that step alike share their
-    transforms; each outcome equals the variant's `coupled_error_sample`.
-    A te path is its own `integrate` call, so the benchmark tracer, which
-    counts a study's work at `experiments.integrate`, still sees it; no
-    law enters a te path.
+    An adaptive list runs on the block as one `integrate_block`, so steps
+    its schemes share are taken once and paths that step alike share their
+    transforms.  A te list holds one scheme, each of whose paths is its own
+    `integrate` call, so the benchmark tracer, which counts a study's work
+    at `experiments.integrate`, still sees it.
     """
-    if not variants:
-        return [
-            coupled_error_sample(cfg, "te", cfg.laws[0], delta, path, te_h=te_h)
+    n = cfg.n_modes
+    if schemes[0].kind == "te":
+        (scheme,) = schemes
+        runs = [
+            _run_path(cfg, scheme, _stream(cfg, path, n), n, refinement=cfg.refinement)
             for path in paths
         ]
-    n = cfg.n_modes
+        return [[_outcome(run)] for run in runs]
     block = integrate_block(
-        [make_scheme(cfg, kind, token, delta) for kind, token in variants],
+        schemes,
         initial_state(cfg.initial, n),
         cfg.horizon,
         [_stream(cfg, path, n) for path in paths],
@@ -383,9 +383,10 @@ def _temporal_outcomes(cfg, variants, delta, te_h, paths) -> list:
     return [[_outcome(run) for run in runs] for runs in block]
 
 
-# The te baseline of a level matches the mean step count of the first of
-# these cells the study runs.
-_TE_MATCH_ORDER = ("ateu", "atea", "ae")
+def _te_matched_kind(cfg: StudyConfig) -> str | None:
+    """The scheme whose cells a level's te baseline matches: the first of
+    ateu, atea and ae the config runs, or None."""
+    return next((k for k in ("ateu", "atea", "ae") if k in cfg.schemes), None)
 
 
 def te_fallback_step(cfg: StudyConfig, delta: float) -> float:
@@ -397,10 +398,10 @@ def te_fallback_step(cfg: StudyConfig, delta: float) -> float:
     study guesses this step and runs the level's te paths at it beside
     the adaptive variants (see `_temporal_cells`).
     """
-    for kind in _TE_MATCH_ORDER:
-        if kind in cfg.schemes:
-            return make_scheme(cfg, kind, cfg.laws[0], delta).fallback_length
-    return delta * cfg.horizon
+    matched = _te_matched_kind(cfg)
+    if matched is None:
+        return delta * cfg.horizon
+    return make_scheme(cfg, matched, cfg.laws[0], delta).fallback_length
 
 
 def rms_error(errors) -> float:
@@ -557,17 +558,15 @@ def _timed(task, *args):
     return out, time.process_time() - start
 
 
-def _map(pool: ProcessPoolExecutor | None, task, args, chunksize: int = 4) -> list:
+def _map(pool: ProcessPoolExecutor | None, task, args) -> list:
     """(task(*a), its CPU seconds) for every tuple a in args, in order.
 
-    On the pool if there is one: a whole wave of paths goes in one map,
-    so no worker waits at a cell boundary.
+    On the pool if there is one, one task at a time per worker: a whole
+    wave of paths goes in one map, so no worker waits at a cell boundary.
     """
     if pool is None:
         return [_timed(task, *a) for a in args]
-    return list(
-        pool.map(partial(_timed, task), *zip(*args), chunksize=chunksize)
-    )
+    return list(pool.map(partial(_timed, task), *zip(*args)))
 
 
 def _cell(key, block) -> CellResult:
@@ -595,22 +594,22 @@ def _cell(key, block) -> CellResult:
     )
 
 
-def _wave(cfg, pool, task, jobs, rows, chunksize) -> dict[tuple, list]:
+def _wave(cfg, pool, task, jobs) -> dict[tuple, list]:
     """Per cell key of jobs (cell keys, delta level i, task args), in key
     order, its samples' (outcome, CPU seconds) pairs; see `_cell`.
 
-    A job runs task(cfg, *args, paths) on blocks of up to `rows` of level
-    i's paths, sample s at level i being path i * samples + s; a task
-    gives, per path, one outcome per key or one outcome shared by all
-    keys.  Every task of the wave goes in one map, job by job.  A task's
+    A job runs task(cfg, *args, paths) on blocks of up to BLOCK_ROWS of
+    level i's paths, sample s at level i being path i * samples + s; a
+    task gives, per path, one outcome per key, or one that every key
+    shares.  Every task of the wave goes in one map, job by job.  A task's
     CPU seconds are split equally among the (cell, sample) outcomes it
     serves, so the pairs' CPU seconds sum to the tasks' CPU seconds.
     """
     samples = cfg.samples
     tasks = [
-        (j, range(s, min(s + rows, samples)))
+        (j, range(s, min(s + BLOCK_ROWS, samples)))
         for j in range(len(jobs))
-        for s in range(0, samples, rows)
+        for s in range(0, samples, BLOCK_ROWS)
     ]
     timed = _map(
         pool,
@@ -619,15 +618,14 @@ def _wave(cfg, pool, task, jobs, rows, chunksize) -> dict[tuple, list]:
             (cfg, *jobs[j][2], tuple(jobs[j][1] * samples + s for s in block))
             for j, block in tasks
         ],
-        chunksize,
     )
     collected = [[[] for _ in keys] for keys, _, _ in jobs]
     for (j, block), (outs, cpu) in zip(tasks, timed):
         keys = jobs[j][0]
         share = cpu / (len(keys) * len(block))
         for out in outs:
-            if isinstance(out, SampleOutcome):
-                out = [out] * len(keys)
+            if len(out) == 1:
+                out = out * len(keys)
             for cell_block, o in zip(collected[j], out):
                 cell_block.append((o, share))
     return {
@@ -637,7 +635,7 @@ def _wave(cfg, pool, task, jobs, rows, chunksize) -> dict[tuple, list]:
     }
 
 
-# sample paths per adaptive, guessed-te or spatial task; see `_temporal_cells`
+# sample paths per task of a wave; see `_temporal_cells`
 BLOCK_ROWS = 8
 
 
@@ -648,12 +646,11 @@ def _temporal_cells(
 
     Sample s at delta level i is path i * samples + s.  One map runs, per
     level, finest first, so the longest tasks start first, and one task
-    at a time per worker, two kinds of task per block of up to BLOCK_ROWS
-    of the level's samples (see `_temporal_outcomes`):
-    - every adaptive (scheme, law) variant of the level on every path of
-      the block, as one `integrate_block`;
-    - the block's te paths at the guessed step `te_fallback_step`, one
-      `integrate` per path, unless the te baseline matches ae.
+    at a time per worker, a task per scheme list of the level and block of
+    up to BLOCK_ROWS of its samples (see `_temporal_outcomes`):
+    - every adaptive (scheme, law) variant, as one `integrate_block`;
+    - te at the guessed step `te_fallback_step`, one `integrate` per path,
+      unless the te baseline matches ae.
     At 8 rows of 799 grid points (N = 256) one transform of the block costs
     about half as much per row as a single one; more rows save little more.
 
@@ -661,28 +658,29 @@ def _temporal_cells(
     step count of the first ateu, atea or ae cell of its (law, level), or
     runs at delta T if the study runs none.  A te cell whose te_h equals
     the guess takes the guessed outcomes.  Only the remaining distinct
-    (level, te_h) pairs run, in a second map, one task per sample; the te
-    cells of a pair share its outcomes.  Such a cell also keeps its share
-    of the guessed task's CPU seconds, so the cells' cpu_seconds still sum
-    to the tasks' CPU seconds.
+    (level, te_h) pairs run, in a second map, as te lists on blocks of up
+    to BLOCK_ROWS samples; the te cells of a pair share its outcomes.  Such
+    a cell also keeps its share of the guessed task's CPU seconds, so the
+    cells' cpu_seconds still sum to the tasks' CPU seconds.
     """
     n = cfg.n_modes
     levels = list(enumerate(cfg.deltas))
     variants = [(sk, lt) for sk in cfg.schemes if sk != "te" for lt in cfg.laws]
+    matched = _te_matched_kind(cfg)
     # ae never takes its fallback length, so a te baseline matched to ae
     # gets no guess
-    matched = next((sk for sk in _TE_MATCH_ORDER if sk in cfg.schemes), None)
     guess = "te" in cfg.schemes and matched != "ae"
     jobs = []
     for i, delta in reversed(levels):  # the finest, longest first
         if variants:
             keys = [(sk, lt, delta, None, n) for sk, lt in variants]
-            jobs.append((keys, i, (variants, delta, None)))
+            schemes = [make_scheme(cfg, sk, lt, delta) for sk, lt in variants]
+            jobs.append((keys, i, (schemes,)))
         if guess:
             te_h = te_fallback_step(cfg, delta)
             keys = [("te", lt, delta, te_h, n) for lt in cfg.laws]
-            jobs.append((keys, i, ((), delta, te_h)))
-    blocks = _wave(cfg, pool, _temporal_outcomes, jobs, BLOCK_ROWS, 1)
+            jobs.append((keys, i, ([Scheme("te", h=te_h)],)))
+    blocks = _wave(cfg, pool, _temporal_outcomes, jobs)
     cells = {
         key[:3]: _cell(key, block) for key, block in blocks.items() if key[0] != "te"
     }
@@ -692,11 +690,8 @@ def _temporal_cells(
         for law_token in cfg.laws:
             for i, delta in levels:
                 te_h = delta * cfg.horizon
-                for preferred in _TE_MATCH_ORDER:
-                    match = cells.get((preferred, law_token, delta))
-                    if match is not None:
-                        te_h = cfg.horizon / match.mean_steps
-                        break
+                if matched is not None:
+                    te_h = cfg.horizon / cells[matched, law_token, delta].mean_steps
                 key = ("te", law_token, delta, te_h, n)
                 if key in blocks:
                     cells[key[:3]] = _cell(key, blocks[key])
@@ -704,10 +699,10 @@ def _temporal_cells(
                     missed.setdefault((i, te_h), []).append(key)
         if missed:
             jobs = [
-                (keys, i, ((), cfg.deltas[i], te_h))
+                (keys, i, ([Scheme("te", h=te_h)],))
                 for (i, te_h), keys in missed.items()
             ]
-            for key, block in _wave(cfg, pool, _temporal_outcomes, jobs, 1, 4).items():
+            for key, block in _wave(cfg, pool, _temporal_outcomes, jobs).items():
                 earlier = guessed.get(key[:3], [(None, 0.0)] * len(block))
                 cells[key[:3]] = _cell(
                     key,
@@ -746,7 +741,7 @@ def _spatial_cells(
     scheme = make_scheme(cfg, "te", law_token, delta, te_h)
     keys = [("te", law_token, delta, te_h, n) for n in cfg.spatial_modes]
     job = (keys, 0, (scheme, cfg.spatial_reference, cfg.spatial_modes))
-    blocks = _wave(cfg, pool, _spatial_outcomes, [job], BLOCK_ROWS, 1)
+    blocks = _wave(cfg, pool, _spatial_outcomes, [job])
     return [_cell(key, block) for key, block in blocks.items()]
 
 

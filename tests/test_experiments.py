@@ -34,7 +34,7 @@ from allencahn.experiments import (
 )
 from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import eigenvalues
-from allencahn.stepping import integrate, integrate_block
+from allencahn.stepping import Scheme, integrate, integrate_block
 
 from conftest import direct_coeffs, direct_values
 
@@ -363,13 +363,13 @@ def test_pool_cancels_queued_paths_only_when_a_study_raises(monkeypatch):
 
 
 def _counting_maps(monkeypatch):
-    """Record each `_map` call's task args and chunk size."""
+    """Record each `_map` call's task and its tasks' args after the config."""
     calls = []
     original = experiments._map
 
-    def counting(pool, task, args, chunksize=4):
-        calls.append(([a[1:] for a in args], chunksize))
-        return original(pool, task, args, chunksize)
+    def counting(pool, task, args):
+        calls.append((task, [a[1:] for a in args]))
+        return original(pool, task, args)
 
     monkeypatch.setattr(experiments, "_map", counting)
     return calls
@@ -385,19 +385,22 @@ def test_temporal_study_runs_in_one_map_when_te_steps_match(monkeypatch):
     res = convergence_study(cfg)
     guesses = [experiments.te_fallback_step(cfg, d) for d in cfg.deltas]
     assert [c.te_h for c in res.cells if c.scheme == "te"] == guesses * 2
-    # per delta level, finest first and one task at a time per worker: one
-    # group task per block of samples, then one te task per block at the
-    # guessed step
-    [(tasks, chunksize)] = calls
-    assert chunksize == 1
-    variants = [(sk, lt) for sk in ("ateu", "atea") for lt in cfg.laws]
+    # per delta level, finest first: the adaptive list on each block of
+    # samples, then the te list at the guessed step on each block
+    [(task, tasks)] = calls
+    assert task is experiments._temporal_outcomes
     expected = []
     for i in (1, 0):
         delta = cfg.deltas[i]
+        schemes = [
+            make_scheme(cfg, sk, lt, delta)
+            for sk in ("ateu", "atea")
+            for lt in cfg.laws
+        ]
         for paths in ((3 * i, 3 * i + 1), (3 * i + 2,)):
-            expected.append((variants, delta, None, paths))
+            expected.append((schemes, paths))
         for paths in ((3 * i, 3 * i + 1), (3 * i + 2,)):
-            expected.append(((), delta, guesses[i], paths))
+            expected.append(([Scheme("te", h=guesses[i])], paths))
     assert tasks == expected
 
 
@@ -406,6 +409,7 @@ def test_te_cells_whose_step_misses_the_guess_run_in_a_second_map(monkeypatch):
     # delta T, so that te cell matches te_h = 0.25 against a guess of
     # min(tau_min, delta T) = 0.2; every other te cell takes the guess
     calls = _counting_maps(monkeypatch)
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2)
     cfg = small_config(
         noise_kind="white", laws=("type4", "type5"), deltas=(2.0**-2, 2.0**-3),
         samples=3,
@@ -418,10 +422,11 @@ def test_te_cells_whose_step_misses_the_guess_run_in_a_second_map(monkeypatch):
         c.te_h == experiments.te_fallback_step(cfg, c.delta)
         for key, c in te.items() if key != ("type4", 0.25)
     )
-    [_, (reruns, chunksize)] = calls
-    # only the missed (level, te_h) pair, one task per sample
-    assert reruns == [((), 0.25, 0.25, (s,)) for s in range(cfg.samples)]
-    assert chunksize == 4
+    [_, (task, reruns)] = calls
+    # only the missed (level, te_h) pair, as te lists on blocks of samples
+    assert task is experiments._temporal_outcomes
+    assert reruns == [([Scheme("te", h=0.25)], (0, 1)), ([Scheme("te", h=0.25)], (2,))]
+    assert len(reruns) == math.ceil(cfg.samples / experiments.BLOCK_ROWS)
     for cell in te.values():
         for s, stored in enumerate(cell.outcomes):
             path = cfg.deltas.index(cell.delta) * cfg.samples + s
@@ -441,11 +446,12 @@ def test_te_matched_to_ae_makes_no_guessed_task(monkeypatch):
     calls = _counting_maps(monkeypatch)
     cfg = small_config(schemes=("te", "ae"), deltas=(2.0**-2, 2.0**-3), samples=3)
     res = convergence_study(cfg)
-    [(tasks, _), (reruns, _)] = calls
-    assert all(variants for variants, *_ in tasks)
+    [(_, tasks), (_, reruns)] = calls
+    assert all([s.kind for s in schemes] == ["ae"] for schemes, _ in tasks)
     te_paths = {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
-    assert len(reruns) == len(te_paths) * cfg.samples
-    assert all(not variants for variants, *_ in reruns)
+    blocks = math.ceil(cfg.samples / experiments.BLOCK_ROWS)
+    assert len(reruns) == len(te_paths) * blocks
+    assert all([s.kind for s in schemes] == ["te"] for schemes, _ in reruns)
 
 
 def _napping(run, nap):
@@ -481,16 +487,16 @@ def test_cpu_seconds_is_the_cpu_time_of_the_cells_paths(monkeypatch):
             assert 0.0 < cell.cpu_seconds < 0.5 * nap * cfg.samples, cell
         if cfg.kind == "temporal":
             assert {c.scheme for c in res.cells} == {"te", "ateu", "atea"}
-            # a group task and a guessed te task serve the (cell, sample)
-            # outcomes of their block of two samples or one, a rerun te
-            # task those of one sample; at delta 0.5 the te step misses
-            # the guess, and that cell keeps its share of the guessed task
+            # a group task, a guessed te task and a rerun te task serve the
+            # (cell, sample) outcomes of their block of two samples or one;
+            # at delta 0.5 the te step misses the guess, and that cell
+            # keeps its share of the guessed task
             missed = {
                 (c.delta, c.te_h) for c in res.cells if c.scheme == "te"
                 and c.te_h != experiments.te_fallback_step(cfg, c.delta)
             }
             assert len(missed) == 1
-            tasks = 2 * 2 + 2 * 2 + len(missed) * cfg.samples
+            tasks = 2 * 2 + 2 * 2 + len(missed) * 2
         else:
             # a spatial task serves its block of two samples or one in
             # every swept-N cell
@@ -730,24 +736,21 @@ def test_spatial_study_rejects_temporal_config():
 
 
 def test_spatial_study_runs_in_one_map(monkeypatch):
-    calls = []
-    original = experiments._map
+    calls = _counting_maps(monkeypatch)
 
-    def counting(pool, task, args, chunksize=4):
-        calls.append((task, [a[-1] for a in args]))
-        return original(pool, task, args, chunksize)
+    def blocks():
+        return [(task, [a[-1] for a in args]) for task, args in calls]
 
-    monkeypatch.setattr(experiments, "_map", counting)
     cfg = spatial_config()
     assert experiments.BLOCK_ROWS == 8
     convergence_study(cfg)
     # one task per block of samples: their references, then every swept
     # mode count as one block
-    assert calls == [(experiments._spatial_outcomes, [(0, 1, 2)])]
+    assert blocks() == [(experiments._spatial_outcomes, [(0, 1, 2)])]
     calls.clear()
     monkeypatch.setattr(experiments, "BLOCK_ROWS", 2)
     convergence_study(cfg)
-    assert calls == [(experiments._spatial_outcomes, [(0, 1), (2,)])]
+    assert blocks() == [(experiments._spatial_outcomes, [(0, 1), (2,)])]
 
 
 def test_spatial_reference_is_integrated_once_per_sample(monkeypatch):
@@ -855,7 +858,7 @@ def test_spatial_study_same_at_every_worker_count(tmp_path):
 
 
 def test_temporal_study_same_at_every_worker_count(tmp_path):
-    # six samples split unevenly over the pool's chunks of four
+    # two levels of six samples, each run as one block per scheme list
     cfg = small_config(
         schemes=("te", "ateu", "atea"), deltas=(2.0**-2, 2.0**-3), samples=6
     )
@@ -896,6 +899,23 @@ def test_temporal_sample_rejects_reference_modes():
         coupled_error_sample(
             small_config(), "te", "type1", 2.0**-2, 0, n_modes=16, reference_modes=32
         )
+
+
+def test_temporal_sample_rejects_each_spatial_keyword():
+    # a temporal sample runs at the config's n_modes against its r-fold
+    # refinement; a mode count of its own would be silently another study
+    for kw in (dict(n_modes=16), dict(reference_modes=32)):
+        with pytest.raises(ValueError, match="spatial samples only"):
+            coupled_error_sample(small_config(), "te", "type1", 2.0**-2, 0, **kw)
+
+
+@pytest.mark.parametrize("kind", ["ateu", "atea", "ae"])
+def test_hybrid_sample_rejects_te_h(kind):
+    # a hybrid scheme takes its steps from its law; a uniform step given to
+    # it would be dropped, and the sample would not be the one asked for
+    cfg = small_config(schemes=("te", kind))
+    with pytest.raises(ValueError, match="te_h"):
+        coupled_error_sample(cfg, kind, "type1", 2.0**-2, 0, te_h=0.25)
 
 
 def _fresh_import_has(code, module):

@@ -1,10 +1,18 @@
 """Dissipative cubic Nemytskii drift evaluated pseudo-spectrally.
 
 f(u) = a3 u^3 + a2 u^2 + a1 u + a0 with a3 < 0.  The drift of an N-mode
-field is evaluated on the one grid of M = fast_dealias_size(N) >= 3N+1
-interior points, where the cubic image (at most 3N modes) is represented
-exactly, so the projected coefficients and the quadrature norms below,
-the state's L4/L6 norms among them, carry no aliasing error.
+field is evaluated on the quadrature grid of M = fast_dealias_size(N) >=
+3N+1 interior points unless told otherwise.  The quadrature norms below,
+the state's L4/L6 norms among them, are exact there and are read on no
+other grid.
+
+The projected drift F^N = P_N f(X) is exact only for an odd cubic
+(a2 = a0 = 0): its image of N sine modes is at most 3N sine modes, and
+any M >= 2N projects them exactly, so the least such grid,
+projection_grid, serves evaluations that read F^N alone.  a2 u^2 and a0
+are cosine series, whose sine coefficients no grid gives exactly; a
+non-odd drift therefore evaluates on the one quadrature grid always, so
+every evaluation of a path shares one aliasing.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from .spectral import (
     SpectralField,
     coeffs_to_values,
     fast_dealias_size,
+    fast_grid_size,
     lp_quadrature,
     values_to_coeffs,
 )
@@ -47,6 +56,11 @@ class CubicDrift:
         return w
 
     @property
+    def odd(self) -> bool:
+        """f(-u) = -f(u), so f maps a sine series to a sine series."""
+        return self.a2 == 0 and self.a0 == 0
+
+    @property
     def one_sided_lipschitz(self) -> float:
         # sup of f'(u) = 3 a3 u^2 + 2 a2 u + a1 over the real line (a3 < 0).
         return self.a1 + self.a2**2 / (3.0 * abs(self.a3))
@@ -66,7 +80,9 @@ class DriftEvaluation:
     so a step that needs only the coefficients pays for no norm; for a
     block they are lists with one entry per row, each equal bit for bit
     to that row's own evaluation (each row summed on its own, never in a
-    pairwise sum over the block).
+    pairwise sum over the block).  The norms and the sups read the grid:
+    they need the quadrature grid M >= 3N+1 and raise on a smaller one,
+    where only the coefficients and their norm are read.
     """
 
     __slots__ = ("grid_values", "image_values", "coeffs", "m", "a0")
@@ -89,9 +105,18 @@ class DriftEvaluation:
         part.coeffs = self.coeffs[rows]
         return part
 
+    def _check_quadrature(self):
+        n = self.coeffs.shape[-1]
+        if self.m < 3 * n + 1:
+            raise ValueError(
+                f"grid m={self.m} is no quadrature grid for {n} modes; "
+                f"need >= {3 * n + 1}"
+            )
+
     @property
     def image_norm(self):
         """||f(X)|| by trapezoid quadrature on the grid."""
+        self._check_quadrature()
         # The state vanishes at x = 0, 1 but its image equals f(0) = a0
         # there, hence the boundary term a0^2.
         a0_sq, cells = self.a0**2, self.m + 1
@@ -112,33 +137,53 @@ class DriftEvaluation:
     def lp_norms(self) -> list[tuple[float, float]]:
         """(||X||_L4, ||X||_L6) of each row by quadrature on the grid, exact
         for band-limited X; a one-pair list for a single state."""
+        self._check_quadrature()
         rows = np.atleast_2d(self.grid_values)
         return [(lp_quadrature(v, 4), lp_quadrature(v, 6)) for v in rows]
 
     @property
     def state_sup(self):
         """max |X| over the grid (exact, so a block row's equals its own)."""
+        self._check_quadrature()
         return np.abs(self.grid_values).max(axis=-1).tolist()
+
+
+def _least_grid(drift: CubicDrift, n_modes: int) -> int:
+    # An odd drift's F^N is exact on any M >= 2N; any other drift shares
+    # the quadrature grid's aliasing, M >= 3N+1.
+    return 2 * n_modes if drift.odd else 3 * n_modes + 1
+
+
+def projection_grid(drift: CubicDrift, n_modes: int) -> int:
+    """The grid of an evaluation that reads only F^N and its norm: the least
+    fast M >= 2N for an odd drift, fast_dealias_size(N) for any other."""
+    return fast_grid_size(_least_grid(drift, n_modes))
 
 
 def evaluate_drift(
     drift: CubicDrift, state_coeffs: np.ndarray, m: int | None = None
 ) -> DriftEvaluation:
-    """The drift of one state, or of each row of a (rows, N) block of states."""
+    """The drift of one state, or of each row of a (rows, N) block of states,
+    on the quadrature grid unless m is given.  m must project F^N exactly
+    (M >= 2N for an odd drift) and, for any other drift, be a quadrature
+    grid (M >= 3N+1)."""
     n = state_coeffs.shape[-1]
     if m is None:
         m = fast_dealias_size(n)
-    if m < 3 * n + 1:
+    # A quadrature grid passes for every drift; only a smaller one asks.
+    if m <= 3 * n and m < _least_grid(drift, n):
         raise ValueError(
-            f"dealiasing grid m={m} too small for {n} modes; need >= {3 * n + 1}"
+            f"drift grid m={m} too small for {n} modes; "
+            f"need >= {_least_grid(drift, n)}"
         )
     return DriftEvaluation(drift, state_coeffs, m)
 
 
 def apply_drift(drift: CubicDrift, field: SpectralField) -> SpectralField:
-    """Projected drift F^N(X): dealiased evaluation, then projection onto N modes.
+    """Projected drift F^N(X): evaluation on the quadrature grid, then
+    projection onto N modes.
 
-    Exact to round-off for band-limited fields.
+    Exact to round-off for band-limited fields when the drift is odd.
     """
     return SpectralField(evaluate_drift(drift, field.coeffs).coeffs)
 
@@ -149,7 +194,8 @@ def drift_l2_norm(drift: CubicDrift, field: SpectralField) -> float:
 
 
 def inner_product_x_f(drift: CubicDrift, field: SpectralField) -> float:
-    """<X, f(X)> by quadrature on the dealiasing grid (exact for band-limited X)."""
+    """<X, f(X)> by trapezoid quadrature on the quadrature grid, exact for
+    band-limited X."""
     ev = evaluate_drift(drift, field.coeffs)
     # Boundary terms vanish with the state.
     return float(np.dot(ev.grid_values, ev.image_values) / (ev.m + 1))

@@ -5,9 +5,13 @@ e_i(x) = sqrt(2) sin(i pi x) of the Dirichlet Laplacian A = -d^2/dx^2,
 with eigenvalues lambda_i = pi^2 i^2.  A field is stored as its first N
 coefficients; grid representations live on the interior points
 x_k = k/(M+1), k = 1..M, where the boundary values are identically zero.
-Every grid quantity uses one grid, M = fast_dealias_size(N) >= 3N + 1: it
-holds the cubic drift's image exactly, and its quadrature of |X|^p is
-exact up to p = 6, since |X|^6 has no frequency at or above 2(M+1).
+Every grid quantity uses one quadrature grid, M = fast_dealias_size(N) >=
+3N + 1: its quadrature of |X|^p is exact up to p = 6, since |X|^6 has no
+frequency at or above 2(M+1), and it holds an odd cubic's image (at most
+3N sine modes) exactly.  Projecting that image onto N modes needs less:
+mode k > M + 1 aliases onto 2(M+1) - k, which lies above N once M >= 2N,
+so the least fast grid M >= 2N serves evaluations that read only the
+projected drift of an odd cubic (drift.projection_grid).
 
 The DST-I comes from scipy's pocketfft extension, loaded on its own, so
 importing the package does not import scipy.fft, scipy.fftpack or
@@ -69,11 +73,12 @@ def eigenvalues(n_modes: int) -> np.ndarray:
     return lam
 
 
-def fast_dealias_size(n_modes: int) -> int:
-    # The one grid: any M >= 3N+1 is exact.  This is the least such M whose
-    # M+1 is even, so x = 1/2 is a grid point, and has no prime factor
-    # above 5, which keeps the DST on its fast mixed-radix path.
-    cells = (3 * n_modes + 3) // 2 * 2  # M + 1: the least even >= 3N + 2
+@lru_cache(maxsize=None)
+def fast_grid_size(least: int) -> int:
+    """The least M >= least whose M+1 is even, so x = 1/2 is a grid point,
+    and has no prime factor above 5, which keeps the DST on its fast
+    mixed-radix path."""
+    cells = (least + 2) // 2 * 2  # M + 1: the least even >= least + 1
     while True:
         rest = cells
         for p in (2, 3, 5):
@@ -82,6 +87,11 @@ def fast_dealias_size(n_modes: int) -> int:
         if rest == 1:
             return cells - 1
         cells += 2
+
+
+def fast_dealias_size(n_modes: int) -> int:
+    """The one quadrature grid for N modes: any M >= 3N+1 is exact."""
+    return fast_grid_size(3 * n_modes + 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .drift import CubicDrift, evaluate_drift
+from .drift import CubicDrift, evaluate_drift, projection_grid
 from .errors import BlowUpError, RunawayPartitionError
 from .noise import NoiseStream
 from .spectral import SpectralField, coeffs_to_values, eigenvalues, fast_dealias_size
@@ -247,6 +247,12 @@ def _update(
     return out
 
 
+def _grid_sups(x: np.ndarray, m: int):
+    """max |X| over the grid of M = m points: of each row of a block, or of
+    one state."""
+    return np.abs(coeffs_to_values(x, m)).max(axis=-1).tolist()
+
+
 def _not_finite(out: np.ndarray) -> list[int]:
     """The rows of the block out that hold a non-finite value."""
     if np.isfinite(out).all():
@@ -338,11 +344,13 @@ def integrate_block(
     value: the group's L4/L6 norms are read, once, only when that bound
     puts some member on the adaptive branch.  They come from the drift
     evaluation (`DriftEvaluation.lp_norms`): the norms, the sups and the
-    drift share one grid, fast_dealias_size(N).  The members that move
-    alike, by (step length, tamed update, final step), take that step
-    together: one increment draw per row, one coarse update of their rows
-    and r reference substeps, r - 1 of them with a drift evaluation of
-    their own.
+    coarse drift share the quadrature grid, fast_dealias_size(N).  The
+    members that move alike, by (step length, tamed update, final step),
+    take that step together: one increment draw per row, one coarse update
+    of their rows and r reference substeps, r - 1 of them with a drift
+    evaluation of their own.  Those read only F^N and its norm, so they
+    run on `projection_grid`, the least grid that projects an odd drift
+    exactly; a non-odd drift keeps the quadrature grid there too.
     A group whose members move differently splits, and the parts never
     meet again.  A row that blows up ends its members there; the other
     rows go on.
@@ -367,6 +375,7 @@ def integrate_block(
     # one-row block updates without broadcasting.
     lam = eigenvalues(n)[None]
     m_grid = fast_dealias_size(n)
+    m_sub = projection_grid(drift, n)
 
     def factors(tau):
         """(tau, decay, noise weight, reference decay) of a step of length tau."""
@@ -497,8 +506,8 @@ def integrate_block(
             if track_reference:
                 sub = tau / refinement
                 for j in range(refinement):
-                    evr = evr_m if j == 0 else evaluate_drift(drift, xr_next, m_grid)
-                    xr_next = _update(
+                    evr = evr_m if j == 0 else evaluate_drift(drift, xr_next, m_sub)
+                    xr_prev, xr_next = xr_next, _update(
                         xr_next,
                         evr.coeffs,
                         sub,
@@ -508,7 +517,8 @@ def integrate_block(
                     )
                     for q in _not_finite(xr_next):
                         if q not in blown:
-                            blown[q] = BlowUpError(t + j * sub, evr.state_sup[q])
+                            sup = _grid_sups(xr_prev[q], m_grid)
+                            blown[q] = BlowUpError(t + j * sub, sup)
             if blown:
                 for q, exc in blown.items():
                     i, _, members = movers[q]
@@ -522,7 +532,7 @@ def integrate_block(
             if not final:
                 live.append((movers, x_next, xr_next, t + tau, steps + 1, step))
                 continue
-            end_sup = np.abs(coeffs_to_values(x_next, m_grid)).max(axis=-1).tolist()
+            end_sup = _grid_sups(x_next, m_grid)
             for q, (i, _, members) in enumerate(movers):
                 final_field = SpectralField(x_next[q])
                 reference_final = SpectralField(xr_next[q]) if track_reference else None

@@ -21,6 +21,7 @@ from .drift import (
     drift_l2_norm,
     evaluate_drift,
     inner_product_x_f,
+    projection_grid,
 )
 from .noise import NoiseSpec, NoiseStream
 from .spectral import (
@@ -114,7 +115,8 @@ def suite_drift_oracle(seed: int = 307, trials: int = 100) -> CheckResult:
         return CheckResult("drift-oracle", False, 1, f"e1 image {image[:4]}")
 
     # resolution independence: dealiased evaluation must not move when the
-    # quadrature grid doubles (an aliased evaluator fails this)
+    # quadrature grid doubles (an aliased evaluator fails this), and the
+    # odd drift's projection grid must give the same F^N
     rng = np.random.default_rng(seed)
     checks = 1
     for k in range(trials):
@@ -122,8 +124,9 @@ def suite_drift_oracle(seed: int = 307, trials: int = 100) -> CheckResult:
         field = _random_field(rng, n, scale=float(rng.uniform(0.1, 2.0)))
         base = evaluate_drift(drift, field.coeffs)
         fine = evaluate_drift(drift, field.coeffs, 8 * n)
+        proj = evaluate_drift(drift, field.coeffs, projection_grid(drift, n))
         checks += 1
-        dev = np.max(np.abs(base.coeffs - fine.coeffs))
+        dev = max(np.max(np.abs(ev.coeffs - fine.coeffs)) for ev in (base, proj))
         norm_dev = abs(base.image_norm - fine.image_norm)
         if dev > 1e-10 or norm_dev > 1e-10 * (fine.image_norm + 1):
             return CheckResult(

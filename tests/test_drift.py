@@ -9,6 +9,7 @@ from allencahn.drift import (
     evaluate_drift,
     fast_dealias_size,
     inner_product_x_f,
+    projection_grid,
 )
 from allencahn.spectral import (
     SpectralField,
@@ -43,13 +44,13 @@ def test_pointwise_polynomial():
     assert np.allclose(drift(u), expected, atol=1e-13)
 
 
-def _grid_rule(m: int, n: int) -> bool:
-    # exact (M >= 3N+1), x = 1/2 on the grid (M+1 even), 5-smooth M+1
+def _grid_rule(m: int, least: int) -> bool:
+    # large enough (M >= least), x = 1/2 on the grid (M+1 even), 5-smooth M+1
     cells = m + 1
     for p in (2, 3, 5):
         while cells % p == 0:
             cells //= p
-    return m >= 3 * n + 1 and (m + 1) % 2 == 0 and cells == 1
+    return m >= least and (m + 1) % 2 == 0 and cells == 1
 
 
 def test_dealias_sizes():
@@ -58,10 +59,79 @@ def test_dealias_sizes():
     assert sizes == [49, 99, 199, 399, 799, 1599, 3199]
     for n in range(1, 1025):
         m = fast_dealias_size(n)
-        assert _grid_rule(m, n), n
-        assert not any(_grid_rule(k, n) for k in range(3 * n + 1, m)), n
+        assert _grid_rule(m, 3 * n + 1), n
+        assert not any(_grid_rule(k, 3 * n + 1) for k in range(3 * n + 1, m)), n
+
+
+NON_ODD = [CubicDrift(-1.0, 0.5, 1.0), CubicDrift(-1.0, 0.0, 1.0, 0.3)]
+
+
+def test_projection_sizes():
+    # an odd drift's projection grid: the least M >= 2N with M+1 even and
+    # 5-smooth; any other drift's is the quadrature grid
+    sizes = [projection_grid(CUBIC, n) for n in (8, 16, 256, 512, 1024)]
+    assert sizes == [17, 35, 539, 1079, 2159]
+    for n in range(1, 1025):
+        m = projection_grid(CUBIC, n)
+        assert _grid_rule(m, 2 * n), n
+        assert not any(_grid_rule(k, 2 * n) for k in range(2 * n, m)), n
+        for drift in NON_ODD:
+            assert projection_grid(drift, n) == fast_dealias_size(n)
+    assert CUBIC.odd and CubicDrift(-2.0, 0.0, 0.5).odd
+    assert not any(drift.odd for drift in NON_ODD)
+
+
+@pytest.mark.parametrize("n", [16, 256, 512])
+def test_projection_grid_is_exact_for_an_odd_cubic(n, rng):
+    # an odd cubic's image of N sine modes has at most 3N sine modes; on
+    # M >= 2N none of them aliases onto the first N, on M = 2N - 1 mode 3N,
+    # which a large top mode feeds, lands on mode N
+    drift = CubicDrift(-2.0, 0.0, 0.5)
+    coeffs = rng.standard_normal(n) / np.arange(1, n + 1) ** 0.75
+    coeffs[-1] = 0.5
+    fine = evaluate_drift(drift, coeffs, 8 * n).coeffs
+
+    def error(m):
+        got = DriftEvaluation(drift, coeffs, m).coeffs
+        return np.max(np.abs(got - fine)) / np.max(np.abs(fine))
+
+    assert error(projection_grid(drift, n)) <= 1e-12
+    assert error(2 * n) <= 1e-12
+    assert error(2 * n - 1) > 1e-6
+
+
+def test_no_grid_projects_a_non_odd_drift_exactly(rng):
+    # a2 u^2 and a0 are cosine series: their sine coefficients alias on the
+    # quadrature grid, which is why a non-odd drift keeps that one grid
+    n = 256
+    coeffs = rng.standard_normal(n) / np.arange(1, n + 1) ** 0.75
+    for drift in NON_ODD:
+        fine = evaluate_drift(drift, coeffs, 8 * n).coeffs
+        base = evaluate_drift(drift, coeffs).coeffs
+        assert np.max(np.abs(base - fine)) > 1e-10 * np.max(np.abs(fine))
+
+
+def test_drift_grid_guards():
+    x = np.ones(8)
+    # an odd drift projects on M >= 2N, any other drift needs M >= 3N+1
+    assert evaluate_drift(CUBIC, x, 16).m == 16
     with pytest.raises(ValueError):
-        evaluate_drift(CUBIC, np.ones(8), m=24)  # below 3N+1
+        evaluate_drift(CUBIC, x, 15)
+    for drift in NON_ODD:
+        assert evaluate_drift(drift, x, 25).m == 25
+        with pytest.raises(ValueError):
+            evaluate_drift(drift, x, 24)
+    # below 3N+1 only F^N and its norm are read, and no norm or sup of the grid
+    block = np.ones((2, 8))
+    exact = evaluate_drift(CUBIC, block, 64).projected_norm
+    for m in (16, 24):
+        ev = evaluate_drift(CUBIC, block, m)
+        assert ev.projected_norm == pytest.approx(exact, rel=1e-12)
+        for name in ("image_norm", "lp_norms", "state_sup"):
+            with pytest.raises(ValueError):
+                getattr(ev, name)
+    ev = evaluate_drift(CUBIC, x, 25)
+    assert ev.image_norm > 0 and ev.state_sup > 0 and len(ev.lp_norms) == 1
 
 
 @pytest.mark.parametrize("n", [16, 256, 512, 1024])
@@ -79,9 +149,12 @@ def test_default_grid_is_dealiased(drift, n, rng):
         scale = np.max(np.abs(fine.coeffs))
         assert np.max(np.abs(base.coeffs - fine.coeffs)) <= 1e-12 * scale
         assert base.image_norm == pytest.approx(fine.image_norm, rel=1e-12)
-    # on an aliasing grid the same comparison fails
-    aliased = DriftEvaluation(drift, coeffs, 2 * n - 1)
-    assert aliased.image_norm != pytest.approx(fine.image_norm, rel=1e-8)
+    # on an aliasing grid the same comparison fails: on M = 2N - 1 mode 3N,
+    # which a large top mode feeds, lands on mode N (the norms raise there)
+    coeffs[-1] = 0.5
+    fine = evaluate_drift(drift, coeffs, 8 * n).coeffs
+    aliased = DriftEvaluation(drift, coeffs, 2 * n - 1).coeffs
+    assert np.max(np.abs(aliased - fine)) > 1e-8 * np.max(np.abs(fine))
 
 
 def test_default_grid_is_the_integrators(rng):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allencahn import stepping
-from allencahn.drift import CubicDrift, DriftEvaluation, evaluate_drift
+from allencahn.drift import (
+    CubicDrift,
+    DriftEvaluation,
+    evaluate_drift,
+    fast_dealias_size,
+    projection_grid,
+)
 from allencahn.errors import BlowUpError, RunawayPartitionError
 from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import SpectralField, eigenvalues, l2_norm, lp_norm
@@ -726,6 +732,70 @@ def test_block_that_never_splits_evaluates_once_per_substep(monkeypatch):
     assert {_branches(run) for row in block for run in row} == {"t" * 8}
     # the first evaluation of a step holds the coarse and the reference rows
     assert evaluations == [(8, 8), (4, 8)] * 8
+
+
+def _drift_grids(monkeypatch):
+    """The (rows, M) of every drift evaluation the integrator makes."""
+    calls = []
+    original = stepping.evaluate_drift
+
+    def recording(drift, coeffs, m=None):
+        calls.append((coeffs.shape[0], m))
+        return original(drift, coeffs, m)
+
+    monkeypatch.setattr(stepping, "evaluate_drift", recording)
+    return calls
+
+
+def _falling_back_block(drift, monkeypatch):
+    """Four rows whose members fall back at every step, at r = 3, with the
+    grid of every drift evaluation."""
+    schemes = [
+        _hybrid("ateu", "au1", tau_min=0.2),
+        _hybrid("atea", "aa3", tau_min=0.2),
+        Scheme("te", h=0.125),
+    ]
+    streams = [stream(seed=s, path=p) for s, p in ((1, 0), (1, 1), (2, 0), (3, 7))]
+    with monkeypatch.context() as patch:
+        calls = _drift_grids(patch)
+        block = integrate_block(
+            schemes, e1(), 1.0, streams, drift, refinement=3, collect_records=True
+        )
+    assert {_branches(run) for row in block for run in row} == {"t" * 8}
+    return block, calls
+
+
+def test_later_reference_substeps_of_an_odd_drift_use_the_projection_grid(
+    monkeypatch,
+):
+    # the coarse rows and the first reference substep share one evaluation
+    # on the quadrature grid; the two later substeps read only F^N, on the
+    # projection grid
+    m_grid, m_sub = fast_dealias_size(8), projection_grid(CUBIC, 8)
+    assert (m_grid, m_sub) == (29, 17)
+    block, calls = _falling_back_block(CUBIC, monkeypatch)
+    assert calls == [(8, m_grid), (4, m_sub), (4, m_sub)] * 8
+
+    # with the substeps on the quadrature grid instead, the coarse side is
+    # bitwise the same and the reference moves at round-off
+    monkeypatch.setattr(stepping, "projection_grid", lambda d, n: fast_dealias_size(n))
+    one_grid, calls = _falling_back_block(CUBIC, monkeypatch)
+    assert calls == [(8, m_grid), (4, m_grid), (4, m_grid)] * 8
+    for row, other in zip(block, one_grid):
+        for run, alike in zip(row, other):
+            assert repr((run.final.coeffs.tolist(), run.summary, run.records)) == repr(
+                (alike.final.coeffs.tolist(), alike.summary, alike.records)
+            )
+            ref, want = run.reference_final.coeffs, alike.reference_final.coeffs
+            assert np.max(np.abs(ref - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_non_odd_drift_evaluates_on_the_quadrature_grid_only(monkeypatch):
+    # a0 != 0: no grid projects the drift exactly, so coarse and reference
+    # keep sharing one aliasing
+    drift = CubicDrift(-1.0, 0.0, 1.0, 0.3)
+    _, calls = _falling_back_block(drift, monkeypatch)
+    assert calls == [(8, 29), (4, 29), (4, 29)] * 8
 
 
 def test_block_without_reference_evaluates_once_per_step(monkeypatch):

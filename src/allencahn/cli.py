@@ -4,6 +4,14 @@ Three subcommands: `convergence` runs a configured study and writes CSV
 tables, `trace` records one sample path of one cell step by step, and
 `validate` runs the built-in invariant suites.
 
+`trace --path I` traces noise stream I; sample s of delta level i is path
+i * samples + s.  A temporal trace carries the study's refined reference,
+so its records are the study's coarse path bit for bit, and it exits 3
+exactly when that path diverges.  A spatial trace is the sample's
+reference path.  A te trace steps at `te_fallback_step`, which is the te
+cell's own step unless the cell misses that guess (desk-white at 2^-2).
+Each `validate` suite stops at its first failing check.
+
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration
 error, 3 study error (divergence or runaway partition).  A configuration
 error is raised before anything is written; once a run starts, its
@@ -29,15 +37,14 @@ from .config import (
 from .errors import BlowUpError, ConfigError, RunawayPartitionError, StudyError
 from .experiments import (
     convergence_study,
-    initial_state,
     make_scheme,
+    path_stream,
+    run_path,
     te_fallback_step,
     write_cells_csv,
     write_slopes_csv,
     write_trace_csv,
 )
-from .noise import NoiseSpec, NoiseStream
-from .stepping import integrate
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -166,13 +173,8 @@ def cmd_trace(args) -> int:
     delta = parse_delta_token(args.delta) if args.delta else cfg.deltas[0]
     # The cell must be one the config's own study could run.
     dataclasses.replace(cfg, schemes=(scheme_kind,), laws=(law_token,), deltas=(delta,))
-    # A spatial study's traceable path is its reference: spatial_reference
-    # modes under the exact-convolution noise form, on sample path --path.
-    spatial = cfg.kind == "spatial"
-    n = cfg.spatial_reference if spatial else cfg.n_modes
-    spec = NoiseSpec(cfg.noise_kind, n, cfg.noise_scale)
     try:
-        stream = NoiseStream(spec, cfg.seed, args.path)
+        stream = path_stream(cfg, args.path)
     except ValueError as exc:
         raise ConfigError(f"--path {args.path}: {exc}") from exc
 
@@ -182,16 +184,9 @@ def cmd_trace(args) -> int:
     scheme = make_scheme(cfg, scheme_kind, law_token, delta, te_h)
 
     def work(out_dir, outputs):
-        result = integrate(
-            scheme,
-            initial_state(cfg.initial, n),
-            cfg.horizon,
-            stream,
-            cfg.drift,
-            step_ceiling=cfg.step_ceiling,
-            collect_records=True,
-            exact_convolution=spatial,
-        )
+        result = run_path(cfg, scheme, stream, collect_records=True)
+        if isinstance(result, BlowUpError):
+            raise result
         write_trace_csv(out_dir / "trace.csv", result.records, args.path)
         outputs.append("trace.csv")
         h = f" h={te_h!r}" if te_h is not None else ""

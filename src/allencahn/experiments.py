@@ -119,8 +119,7 @@ class StudyConfig:
         # building each once here rejects a bad value before any run starts.
         try:
             self.drift
-            spec = NoiseSpec(self.noise_kind, self.n_modes, self.noise_scale)
-            NoiseStream(spec, self.seed, 0)
+            path_stream(self, 0)
             fewest = self.spatial_modes[0] if self.kind == "spatial" else self.n_modes
             initial_state(self.initial, fewest)
             for scheme_kind in self.schemes:
@@ -213,28 +212,69 @@ class SampleOutcome:
     clamp_steps: int = 0
 
 
-def _stream(cfg: StudyConfig, path: int, modes: int) -> NoiseStream:
+def _form(cfg: StudyConfig) -> tuple[int, dict]:
+    """How the study runs its paths: the mode count of a path it runs
+    alone, and the integrator keywords of every path.
+
+    A temporal path runs at n_modes and carries its r-fold refined
+    reference.  A spatial path takes the exact-convolution noise form and
+    no reference (see `_spatial_cells`); it runs alone only as a sample's
+    reference, at spatial_reference modes.
+    """
+    if cfg.kind == "spatial":
+        return cfg.spatial_reference, {"exact_convolution": True}
+    return cfg.n_modes, {"refinement": cfg.refinement}
+
+
+def path_stream(cfg: StudyConfig, path: int, modes: int | None = None) -> NoiseStream:
+    """The noise stream of sample path `path` at `modes` modes, by default
+    those of a path the study runs alone (see `_form`).
+
+    Sample s of delta level i is path i * samples + s.  A path index that
+    does not fit in 32 bits raises `ValueError`.
+    """
+    if modes is None:
+        modes = _form(cfg)[0]
     spec = NoiseSpec(cfg.noise_kind, modes, cfg.noise_scale)
     return NoiseStream(spec, cfg.seed, path)
 
 
-def _run_path(
-    cfg: StudyConfig, scheme: Scheme, stream: NoiseStream, modes: int, **kw
+def run_path(
+    cfg: StudyConfig, scheme: Scheme, stream: NoiseStream, *, collect_records=False
 ):
-    """One path from the config's initial state: its result, or the
-    `BlowUpError` that ended it."""
+    """The study's path of `scheme` on `stream`, from the config's initial
+    state at the stream's modes: its `IntegrationResult`, or the
+    `BlowUpError` that ended it.
+
+    It is one `integrate` call, which the benchmark tracer counts.
+    """
     try:
         return integrate(
             scheme,
-            initial_state(cfg.initial, modes),
+            initial_state(cfg.initial, stream.spec.n_modes),
             cfg.horizon,
             stream,
             cfg.drift,
             step_ceiling=cfg.step_ceiling,
-            **kw,
+            collect_records=collect_records,
+            **_form(cfg)[1],
         )
     except BlowUpError as exc:
         return exc
+
+
+def _run_block(cfg: StudyConfig, schemes, streams, modes: int):
+    """`run_path` of every scheme on every stream, as one `integrate_block`
+    at `modes` modes: per stream, one result or `BlowUpError` per scheme."""
+    return integrate_block(
+        schemes,
+        initial_state(cfg.initial, modes),
+        cfg.horizon,
+        streams,
+        cfg.drift,
+        step_ceiling=cfg.step_ceiling,
+        **_form(cfg)[1],
+    )
 
 
 def _outcome(coarse, reference=None) -> SampleOutcome:
@@ -258,52 +298,32 @@ def _outcome(coarse, reference=None) -> SampleOutcome:
     s = coarse.summary
     return SampleOutcome(
         error=float(np.linalg.norm(ref - x)),
-        steps=s.steps,
         nonclamp_steps=s.steps - s.clamp_steps,
-        min_step=s.min_step,
-        max_l2=s.max_l2,
-        max_sup=s.max_sup,
-        max_bound_expr=s.max_bound_expr,
-        adaptive_steps=s.adaptive_steps,
-        fallback_steps=s.fallback_steps,
-        clamp_steps=s.clamp_steps,
+        **vars(s),
     )
 
 
 def _spatial_outcomes(cfg, scheme, n_ref, modes, paths) -> list[list[SampleOutcome]]:
     """Per path of the block `paths`, the outcome of the path at each mode
-    count in `modes` against its n_ref-mode reference.
+    count in `modes` against its n_ref-mode reference (by default
+    spatial_reference modes).
 
     All resolutions of a path share its partition and one n_ref-mode
     stream, so every mode takes the same increments at every resolution.
-    Each path's reference is integrated once, as its own `integrate`
-    call; then each swept N runs once, as one `integrate_block` whose
-    rows are the block's streams.  A stream keeps its draws, so each step
-    of a path is drawn once, by its reference, and every swept N replays
-    that very draw in the path's row.
+    Each path's reference is integrated once, as its own `run_path`; then
+    each swept N runs once, as one `_run_block` whose rows are the block's
+    streams.  A stream keeps its draws, so each step of a path is drawn
+    once, by its reference, and every swept N replays that very draw in the
+    path's row.
 
-    The references stay one-row calls only so that the benchmark tracer,
+    The references stay one-path runs only so that the benchmark tracer,
     which counts a study's work at `experiments.integrate`, still sees
     every spatial path; running them as block rows too waits on a tracer
     that counts at seams every path crosses.
     """
-    streams = [_stream(cfg, path, n_ref).keep_draws() for path in paths]
-    refs = [
-        _run_path(cfg, scheme, stream, n_ref, exact_convolution=True)
-        for stream in streams
-    ]
-    swept = [
-        integrate_block(
-            [scheme],
-            initial_state(cfg.initial, n),
-            cfg.horizon,
-            streams,
-            cfg.drift,
-            step_ceiling=cfg.step_ceiling,
-            exact_convolution=True,
-        )
-        for n in modes
-    ]
+    streams = [path_stream(cfg, path, n_ref).keep_draws() for path in paths]
+    refs = [run_path(cfg, scheme, stream) for stream in streams]
+    swept = [_run_block(cfg, [scheme], streams, n) for n in modes]
     return [
         [_outcome(runs[q][0], ref) for runs in swept] for q, ref in enumerate(refs)
     ]
@@ -344,10 +364,9 @@ def coupled_error_sample(
             raise ValueError("a spatial sample needs the uniform te partition")
         if n_modes is None:
             raise ValueError("a spatial sample needs its swept n_modes")
-        n_ref = (
-            cfg.spatial_reference if reference_modes is None else reference_modes
-        )
-        return _spatial_outcomes(cfg, scheme, n_ref, (n_modes,), (path,))[0][0]
+        return _spatial_outcomes(
+            cfg, scheme, reference_modes, (n_modes,), (path,)
+        )[0][0]
     if n_modes is not None or reference_modes is not None:
         raise ValueError("n_modes and reference_modes apply to spatial samples only")
     return _temporal_outcomes(cfg, [scheme], (path,))[0][0]
@@ -357,29 +376,17 @@ def _temporal_outcomes(cfg, schemes, paths) -> list[list[SampleOutcome]]:
     """Per path of the block `paths`, the outcome of every scheme of
     `schemes` against its r-fold refined reference.
 
-    An adaptive list runs on the block as one `integrate_block`, so steps
-    its schemes share are taken once and paths that step alike share their
+    An adaptive list runs on the block as one `_run_block`, so steps its
+    schemes share are taken once and paths that step alike share their
     transforms.  A te list holds one scheme, each of whose paths is its own
-    `integrate` call, so the benchmark tracer, which counts a study's work
-    at `experiments.integrate`, still sees it.
+    `run_path`, so the benchmark tracer, which counts a study's work at
+    `experiments.integrate`, still sees it.
     """
-    n = cfg.n_modes
+    streams = [path_stream(cfg, path) for path in paths]
     if schemes[0].kind == "te":
         (scheme,) = schemes
-        runs = [
-            _run_path(cfg, scheme, _stream(cfg, path, n), n, refinement=cfg.refinement)
-            for path in paths
-        ]
-        return [[_outcome(run)] for run in runs]
-    block = integrate_block(
-        schemes,
-        initial_state(cfg.initial, n),
-        cfg.horizon,
-        [_stream(cfg, path, n) for path in paths],
-        cfg.drift,
-        refinement=cfg.refinement,
-        step_ceiling=cfg.step_ceiling,
-    )
+        return [[_outcome(run_path(cfg, scheme, stream))] for stream in streams]
+    block = _run_block(cfg, schemes, streams, cfg.n_modes)
     return [[_outcome(run) for run in runs] for runs in block]
 
 
@@ -649,7 +656,7 @@ def _temporal_cells(
     at a time per worker, a task per scheme list of the level and block of
     up to BLOCK_ROWS of its samples (see `_temporal_outcomes`):
     - every adaptive (scheme, law) variant, as one `integrate_block`;
-    - te at the guessed step `te_fallback_step`, one `integrate` per path,
+    - te at the guessed step `te_fallback_step`, one `run_path` per path,
       unless the te baseline matches ae.
     At 8 rows of 799 grid points (N = 256) one transform of the block costs
     about half as much per row as a single one; more rows save little more.

@@ -6,7 +6,9 @@ boundedness of the semigroup smoothing ratio, and the two-sided sandwich
 tying each scaled timestep law to its min-capped sibling.
 
 Every suite samples from its own seeded generator, so `validate` is
-deterministic and produces the same verdict on every run.
+deterministic and produces the same verdict on every run.  A suite yields
+one (ok, detail) pair per check, and `run_validation` stops it at its
+first failing check.
 """
 
 from __future__ import annotations
@@ -59,25 +61,20 @@ def _random_field(rng, n: int, scale: float = 1.0) -> SpectralField:
     return SpectralField(scale * rng.standard_normal(n) * decay)
 
 
-def suite_parseval(seed: int = 101, trials: int = 200) -> CheckResult:
+def suite_parseval(seed: int = 101, trials: int = 200):
     rng = np.random.default_rng(seed)
-    for k in range(trials):
+    for _ in range(trials):
         n = int(rng.integers(2, 129))
         field = _random_field(rng, n, scale=float(rng.uniform(0.1, 5.0)))
         coeff = l2_norm(field)
         quad = lp_norm(field, 2)
-        if abs(coeff - quad) > 1e-10 * max(coeff, 1e-300):
-            return CheckResult(
-                "parseval",
-                False,
-                k + 1,
-                f"n={n} coeff={coeff!r} quadrature={quad!r}",
-            )
-    return CheckResult("parseval", True, trials)
+        yield (
+            abs(coeff - quad) <= 1e-10 * max(coeff, 1e-300),
+            f"n={n} coeff={coeff!r} quadrature={quad!r}",
+        )
 
 
-def suite_coupling(seed: int = 211) -> CheckResult:
-    checks = 0
+def suite_coupling(seed: int = 211):
     for kind, n in (("trace-class", 64), ("white", 32)):
         spec = NoiseSpec(kind, n)
         for path in (0, 7):
@@ -88,57 +85,42 @@ def suite_coupling(seed: int = 211) -> CheckResult:
                         fine, coarse = stream.increments(step, dt, r)
                         # a stream that drew other steps draws as a fresh one
                         fresh = NoiseStream(spec, seed, path).increments(step, dt, r)
-                        checks += 1
-                        if not np.array_equal(fine, fresh[0]):
-                            return CheckResult(
-                                "coupling",
-                                False,
-                                checks,
-                                f"kind={kind} r={r} dt={dt} step={step}",
-                            )
+                        yield (
+                            np.array_equal(fine, fresh[0]),
+                            f"kind={kind} r={r} dt={dt} step={step}",
+                        )
                         again = stream.increments(step, dt, r)[1]
-                        checks += 1
-                        if not np.array_equal(again, coarse):
-                            return CheckResult(
-                                "coupling", False, checks, "redraw differed"
-                            )
-    return CheckResult("coupling", True, checks)
+                        yield np.array_equal(again, coarse), "redraw differed"
 
 
-def suite_drift_oracle(seed: int = 307, trials: int = 100) -> CheckResult:
+def suite_drift_oracle(seed: int = 307, trials: int = 100):
     drift = CubicDrift(-1.0, 0.0, 1.0)
     e1 = SpectralField(np.concatenate(([1.0], np.zeros(7))))
     image = apply_drift(drift, e1).coeffs
     expected = np.zeros(8)
     expected[0], expected[2] = -0.5, 0.5
-    if np.max(np.abs(image - expected)) > 1e-12:
-        return CheckResult("drift-oracle", False, 1, f"e1 image {image[:4]}")
+    yield np.max(np.abs(image - expected)) <= 1e-12, f"e1 image {image[:4]}"
 
     # resolution independence: dealiased evaluation must not move when the
     # quadrature grid doubles (an aliased evaluator fails this), and the
     # odd drift's projection grid must give the same F^N
     rng = np.random.default_rng(seed)
-    checks = 1
-    for k in range(trials):
+    for _ in range(trials):
         n = int(rng.integers(2, 65))
         field = _random_field(rng, n, scale=float(rng.uniform(0.1, 2.0)))
         base = evaluate_drift(drift, field.coeffs)
         fine = evaluate_drift(drift, field.coeffs, 8 * n)
         proj = evaluate_drift(drift, field.coeffs, projection_grid(drift, n))
-        checks += 1
         dev = max(np.max(np.abs(ev.coeffs - fine.coeffs)) for ev in (base, proj))
         norm_dev = abs(base.image_norm - fine.image_norm)
-        if dev > 1e-10 or norm_dev > 1e-10 * (fine.image_norm + 1):
-            return CheckResult(
-                "drift-oracle", False, checks, f"n={n} coeff dev {dev:.2e}"
-            )
-    return CheckResult("drift-oracle", True, checks)
+        yield (
+            dev <= 1e-10 and norm_dev <= 1e-10 * (fine.image_norm + 1),
+            f"n={n} coeff dev {dev:.2e}",
+        )
 
 
-def suite_smoothing(seed: int = 401, trials: int = 50) -> CheckResult:
+def suite_smoothing(seed: int = 401, trials: int = 50):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    checks = 0
     for _ in range(trials):
         field = _random_field(rng, 256)
         unit = SpectralField(field.coeffs / l2_norm(field))
@@ -146,20 +128,18 @@ def suite_smoothing(seed: int = 401, trials: int = 50) -> CheckResult:
             for t in (1e-3, 1e-2, 1e-1):
                 smoothed = apply_fractional_power(apply_semigroup(unit, t), 2 * rho)
                 ratio = sup_norm(smoothed) / (t**-rho + t ** (-rho - 0.5))
-                worst = max(worst, ratio)
-                checks += 1
-    if worst > SMOOTHING_RATIO_CEILING:
-        return CheckResult("smoothing", False, checks, f"max ratio {worst:.3f}")
-    return CheckResult("smoothing", True, checks, f"max ratio {worst:.3f}")
+                yield (
+                    ratio <= SMOOTHING_RATIO_CEILING,
+                    f"ratio {ratio:.3f} at rho={rho} t={t}",
+                )
 
 
-def suite_sandwich(seed: int = 503, trials: int = 150) -> CheckResult:
+def suite_sandwich(seed: int = 503, trials: int = 150):
     """Scaled law <= capped sibling, both inside the two-sided envelope."""
     drift = CubicDrift(-1.0, 0.0, 1.0)
     rng = np.random.default_rng(seed)
     horizon = 1.0
-    checks = 0
-    for k in range(trials):
+    for _ in range(trials):
         n = int(rng.integers(2, 49))
         field = _random_field(rng, n, scale=float(rng.uniform(0.05, 3.0)))
         l2 = l2_norm(field)
@@ -175,20 +155,14 @@ def suite_sandwich(seed: int = 503, trials: int = 150) -> CheckResult:
                 v_s = scaled.value(l2, drift_norm, l4, l6)
                 lo = delta * min(horizon, base)
                 hi = min(delta * horizon, base)
-                checks += 1
                 slack = 1e-12 * max(1.0, base)
-                if not (
+                yield (
                     v_s <= v_c + slack
                     and lo - slack <= v_s <= hi + slack
-                    and lo - slack <= v_c <= hi + slack
-                ):
-                    return CheckResult(
-                        "sandwich",
-                        False,
-                        checks,
-                        f"{capped_fam}/{scaled_fam} delta={delta} base={base!r} "
-                        f"capped={v_c!r} scaled={v_s!r}",
-                    )
+                    and lo - slack <= v_c <= hi + slack,
+                    f"{capped_fam}/{scaled_fam} delta={delta} base={base!r} "
+                    f"capped={v_c!r} scaled={v_s!r}",
+                )
         # the quadratic-growth inequality the lp-capped laws are built for:
         # <X, F(X)> + tau(X) ||F(X)||^2 / 2 <= K ||X||^2, with K = 3/2 for
         # the L4/L6-capped pair and K = 2 for the l2-capped variant
@@ -196,27 +170,33 @@ def suite_sandwich(seed: int = 503, trials: int = 150) -> CheckResult:
         for family, bound_const in (("aa1", 1.5), ("aa2", 1.5), ("aa3", 2.0)):
             law = TimestepLaw(family, 0.25, horizon)
             tau = law.base_value(l2, drift_norm, l4, l6)
-            checks += 1
             lhs = inner + 0.5 * tau * drift_norm**2
-            if lhs > bound_const * l2**2 + 1e-12:
-                return CheckResult(
-                    "sandwich",
-                    False,
-                    checks,
-                    f"{family} growth bound: {lhs!r} > {bound_const} * {l2**2!r}",
-                )
-    return CheckResult("sandwich", True, checks)
+            yield (
+                lhs <= bound_const * l2**2 + 1e-12,
+                f"{family} growth bound: {lhs!r} > {bound_const} * {l2**2!r}",
+            )
 
 
+# Each suite yields one (ok, detail) pair per check.
 SUITES = (
-    suite_parseval,
-    suite_coupling,
-    suite_drift_oracle,
-    suite_smoothing,
-    suite_sandwich,
+    ("parseval", suite_parseval),
+    ("coupling", suite_coupling),
+    ("drift-oracle", suite_drift_oracle),
+    ("smoothing", suite_smoothing),
+    ("sandwich", suite_sandwich),
 )
 
 
+def _checked(suite: str, checks) -> CheckResult:
+    """The result of a suite's checks, which stop at the first failing one."""
+    count = 0
+    for ok, detail in checks:
+        count += 1
+        if not ok:
+            return CheckResult(suite, False, count, detail)
+    return CheckResult(suite, True, count)
+
+
 def run_validation() -> tuple[bool, list[CheckResult]]:
-    results = [suite() for suite in SUITES]
+    results = [_checked(name, suite()) for name, suite in SUITES]
     return all(r.ok for r in results), results

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy
 
-from allencahn import cli
+from allencahn import experiments, validation
 from allencahn.cli import main
 from allencahn.config import (
     _KEYS,
@@ -18,7 +18,18 @@ from allencahn.config import (
     render_config,
 )
 from allencahn.errors import ConfigError
-from allencahn.experiments import StudyConfig, convergence_study
+from allencahn.experiments import (
+    StudyConfig,
+    convergence_study,
+    coupled_error_sample,
+    make_scheme,
+    path_stream,
+    te_fallback_step,
+    write_trace_csv,
+)
+from allencahn.noise import NoiseSpec, NoiseStream
+from allencahn.spectral import SpectralField
+from allencahn.stepping import integrate
 
 
 def temporal_cfg():
@@ -308,8 +319,78 @@ def test_cli_rejects_bad_value_before_writing(tmp_path, capsys, line, bad):
 def test_cli_validate(capsys):
     assert run_cli("validate") == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 5
-    assert all(line.startswith("pass") for line in out)
+    assert out == [
+        f"pass  {name}: {checks} checks"
+        for name, checks in (
+            ("parseval", 200),
+            ("coupling", 96),
+            ("drift-oracle", 101),
+            ("smoothing", 300),
+            ("sandwich", 1050),
+        )
+    ]
+
+
+def _redraws_perturbed(monkeypatch):
+    seen = set()
+    increments = NoiseStream.increments
+
+    def redrawn(stream, step, dt, r=1):
+        fine, coarse = increments(stream, step, dt, r)
+        key = (id(stream), step, dt, r)
+        if key in seen:
+            coarse = coarse * (1 + 1e-12)
+        seen.add(key)
+        return fine, coarse
+
+    monkeypatch.setattr(NoiseStream, "increments", redrawn)
+
+
+def _scaled(monkeypatch, name, factor):
+    original = getattr(validation, name)
+    monkeypatch.setattr(
+        validation, name, lambda *args: original(*args) * factor
+    )
+
+
+def _mode_3_moved(monkeypatch):
+    original = validation.apply_drift
+
+    def moved(drift, field):
+        coeffs = original(drift, field).coeffs.copy()
+        coeffs[2] += 1e-9
+        return SpectralField(coeffs)
+
+    monkeypatch.setattr(validation, "apply_drift", moved)
+
+
+@pytest.mark.parametrize(
+    "suite, fault, detail",
+    [
+        ("parseval", lambda mp: _scaled(mp, "lp_norm", 1 + 1e-9), "quadrature="),
+        ("coupling", _redraws_perturbed, "redraw differed"),
+        ("drift-oracle", _mode_3_moved, "e1 image"),
+        # the sampled ratios reach 0.122, so a sup 10x too large still
+        # passes the ceiling of 2; 20x does not
+        ("smoothing", lambda mp: _scaled(mp, "sup_norm", 20.0), "ratio "),
+        ("sandwich", lambda mp: _scaled(mp, "inner_product_x_f", 10.0), "growth bound"),
+    ],
+)
+def test_cli_validate_fails_the_faulty_suite_alone(
+    monkeypatch, capsys, suite, fault, detail
+):
+    fault(monkeypatch)
+    assert run_cli("validate") == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(":")[0].split()[-1] for line in lines] == [
+        name for name, _ in validation.SUITES
+    ]
+    for line in lines:
+        if line.startswith(f"FAIL  {suite}:"):
+            assert detail in line.split(" checks  (", 1)[1]
+        else:
+            assert line.startswith("pass  ")
+    assert sum(line.startswith("FAIL  ") for line in lines) == 1
 
 
 @pytest.fixture(scope="module")
@@ -473,19 +554,101 @@ def test_cli_trace_adaptive_scheme(tmp_path):
 def test_cli_trace_follows_a_path_of_the_study(
     tmp_path, monkeypatch, preset, modes, exact
 ):
-    # a temporal study's coarse path, or a spatial study's reference path
+    # a temporal study's coarse path with its refined reference, or a
+    # spatial study's reference path
     seen = []
-    integrate = cli.integrate
 
     def capturing(scheme, initial, horizon, stream, drift, **kwargs):
-        exact_form = kwargs.get("exact_convolution", False)
-        seen.append((initial.n_modes, stream.spec.n_modes, exact_form))
+        seen.append(
+            (
+                initial.n_modes,
+                stream.spec.n_modes,
+                kwargs.get("exact_convolution", False),
+                kwargs.get("refinement", 1),
+            )
+        )
         return integrate(scheme, initial, horizon, stream, drift, **kwargs)
 
-    monkeypatch.setattr(cli, "integrate", capturing)
+    monkeypatch.setattr(experiments, "integrate", capturing)
     assert run_cli("trace", "--preset", preset, "--out", str(tmp_path / "tr")) == 0
-    n = getattr(load_preset(preset), modes)
-    assert seen == [(n, n, exact)]
+    cfg = load_preset(preset)
+    n = getattr(cfg, modes)
+    assert seen == [(n, n, exact, 1 if exact else cfg.refinement)]
+
+
+def test_cli_trace_steps_as_the_study_sample(tmp_path):
+    # sample 0 of level 1 (2^-3) is path 1 * samples + 0
+    cell = ["--scheme", "atea", "--law", "type1", "--delta", "2^-3", "--path", "8"]
+    out = tmp_path / "tr"
+    assert run_cli("trace", "--preset", "desk-trace-class", *cell, "--out", str(out)) == 0
+    cfg = load_preset("desk-trace-class")
+    steps = coupled_error_sample(cfg, "atea", "type1", 2.0**-3, 8).steps
+    assert steps == 9
+    manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+    assert f"cell=(atea, type1, 0.125) steps={steps}" in manifest
+
+
+def test_cli_trace_exits_3_when_the_study_path_diverges(tmp_path):
+    cfg = dataclasses.replace(temporal_cfg(), noise_scale=1e200)
+    cfg_file = tmp_path / "huge.ini"
+    cfg_file.write_text(render_config(cfg), encoding="utf-8")
+    out = tmp_path / "tr"
+    cell = ["--scheme", "atea", "--law", "type1", "--path", "3"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("trace", "--config", str(cfg_file), *cell, "--out", str(out))
+        sample = coupled_error_sample(cfg, "atea", "type1", cfg.deltas[0], 3)
+    assert code == 3 and sample.diverged
+    assert not (out / "trace.csv").exists()
+    assert "status = failed" in (out / "manifest.txt").read_text(encoding="utf-8")
+
+
+def _traced_records(tmp_path, preset, scheme_kind, law, delta, path, **kwargs):
+    """trace.csv of the cell, and the same file written from `integrate`."""
+    out = tmp_path / "tr"
+    cell = ["--scheme", scheme_kind, "--law", law, "--delta", delta, "--path", str(path)]
+    assert run_cli("trace", "--preset", preset, *cell, "--out", str(out)) == 0
+    cfg = load_preset(preset)
+    delta = parse_delta_token(delta)
+    te_h = te_fallback_step(cfg, delta) if scheme_kind == "te" else None
+    n = cfg.spatial_reference if cfg.kind == "spatial" else cfg.n_modes
+    result = integrate(
+        make_scheme(cfg, scheme_kind, law, delta, te_h),
+        experiments.initial_state(cfg.initial, n),
+        cfg.horizon,
+        NoiseStream(NoiseSpec(cfg.noise_kind, n, cfg.noise_scale), cfg.seed, path),
+        cfg.drift,
+        step_ceiling=cfg.step_ceiling,
+        collect_records=True,
+        **kwargs,
+    )
+    write_trace_csv(tmp_path / "direct.csv", result.records, path)
+    return (out / "trace.csv").read_bytes(), (tmp_path / "direct.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "preset, cell",
+    [
+        ("desk-trace-class", ("atea", "type1", "2^-3", 8)),
+        ("desk-trace-class", ("te", "type2", "2^-4", 13)),
+        ("smoke", ("ateu", "type1", "2^-4", 3)),
+    ],
+)
+def test_cli_temporal_trace_is_the_refined_study_path(tmp_path, preset, cell):
+    cfg = load_preset(preset)
+    traced, direct = _traced_records(
+        tmp_path, preset, *cell, refinement=cfg.refinement
+    )
+    assert traced == direct
+    assert path_stream(cfg, cell[3]).spec.n_modes == cfg.n_modes
+
+
+def test_cli_spatial_trace_is_the_reference_path(tmp_path):
+    # the reference path at spatial_reference modes, exact-convolution form
+    traced, direct = _traced_records(
+        tmp_path, "spatial-desk", "te", "type1", "2^-7", 5, exact_convolution=True
+    )
+    assert traced == direct
+    assert len(traced.splitlines()) == 2**7 + 1
 
 
 def test_cli_trace_rejects_unknown_scheme(tmp_path, capsys):

@@ -804,10 +804,8 @@ def test_spatial_outcomes_equal_fresh_streams_per_resolution():
     shared = experiments._spatial_outcomes(cfg, scheme, 32, cfg.spatial_modes, paths)
 
     def run(path, n):
-        return experiments._run_path(
-            cfg, scheme, experiments._stream(cfg, path, 32), n,
-            exact_convolution=True,
-        )
+        stream = experiments.path_stream(cfg, path, 32)
+        return experiments._run_block(cfg, [scheme], [stream], n)[0][0]
 
     alone = [
         [experiments._outcome(run(path, n), run(path, 32)) for n in cfg.spatial_modes]
@@ -886,10 +884,8 @@ def test_coarse_blow_up_is_reported_before_the_reference():
     assert first.diverged and first.blow_time == 0.25
     cfg = spatial_config()
     stream = NoiseStream(NoiseSpec(cfg.noise_kind, 32), cfg.seed, 0)
-    coarse = experiments._run_path(
-        cfg, make_scheme(cfg, "te", "type1", 2.0**-3), stream, 8,
-        exact_convolution=True,
-    )
+    scheme = make_scheme(cfg, "te", "type1", 2.0**-3)
+    coarse = experiments._run_block(cfg, [scheme], [stream], 8)[0][0]
     second = experiments._outcome(coarse, BlowUpError(0.5, 1.0))
     assert second.diverged and second.blow_time == 0.5
 

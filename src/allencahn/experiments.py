@@ -119,7 +119,7 @@ class StudyConfig:
         # building each once here rejects a bad value before any run starts.
         try:
             self.drift
-            path_stream(self, 0)
+            path_stream(self, 0, self.n_modes)
             fewest = self.spatial_modes[0] if self.kind == "spatial" else self.n_modes
             initial_state(self.initial, fewest)
             for scheme_kind in self.schemes:

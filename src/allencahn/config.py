@@ -38,7 +38,6 @@ _KEYS = (
     ("study", "initial", "initial", "str"),
     ("study", "threads", "threads", "int"),
     ("study", "step_ceiling", "step_ceiling", "int"),
-    ("study", "stability_ceiling", "stability_ceiling", "float"),
     ("study", "spatial_modes", "spatial_modes", "intlist"),
     ("study", "spatial_reference", "spatial_reference", "int"),
     ("noise", "kind", "noise_kind", "str"),

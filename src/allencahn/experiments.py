@@ -65,7 +65,6 @@ class StudyConfig:
     q0: float = 1.0
     tau_min: float = 0.2
     step_ceiling: int = 10_000_000
-    stability_ceiling: float = 1000.0
     threads: int = 1
     spatial_modes: tuple[int, ...] = ()
     spatial_reference: int = 0
@@ -117,9 +116,10 @@ class StudyConfig:
             raise ConfigError("a temporal study needs refinement >= 2 for its reference")
         # The objects a study builds from these values own their checks;
         # building each once here rejects a bad value before any run starts.
+        # The stream is the last path's, whose index is the largest.
         try:
             self.drift
-            path_stream(self, 0, self.n_modes)
+            path_stream(self, len(self.deltas) * self.samples - 1, self.n_modes)
             fewest = self.spatial_modes[0] if self.kind == "spatial" else self.n_modes
             initial_state(self.initial, fewest)
             for scheme_kind in self.schemes:
@@ -777,7 +777,7 @@ def convergence_study(cfg: StudyConfig) -> StudyResult:
             slopes_delta.append(
                 (s, l, fit_order([(1.0 / c.delta, c.rms) for c in run]))
             )
-    stability = stability_monitor(cells, cfg.stability_ceiling)
+    stability = stability_monitor(cells)
     return StudyResult(cfg, cells, slopes, slopes_delta, stability)
 
 

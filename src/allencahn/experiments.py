@@ -374,20 +374,33 @@ def coupled_error_sample(
 
 def _temporal_outcomes(cfg, schemes, paths) -> list[list[SampleOutcome]]:
     """Per path of the block `paths`, the outcome of every scheme of
-    `schemes` against its r-fold refined reference.
+    `schemes`, adaptive schemes and then at most one te scheme, against its
+    r-fold refined reference.
 
-    An adaptive list runs on the block as one `_run_block`, so steps its
-    schemes share are taken once and paths that step alike share their
-    transforms.  A te list holds one scheme, each of whose paths is its own
-    `run_path`, so the benchmark tracer, which counts a study's work at
-    `experiments.integrate`, still sees it.
+    The adaptive schemes run on the block as one `_run_block`, so steps
+    they share are taken once and paths that step alike share their
+    transforms.  Then each path of the te scheme is its own `run_path`, so
+    the benchmark tracer, which counts a study's work at
+    `experiments.integrate`, still sees it.  When te follows an adaptive
+    block, the block's streams keep their draws, and a te step whose
+    (step, dt, r) key a member drew, as a hybrid falling back at that
+    ordinal does, replays that draw instead of running Philox again.  The
+    kept draws stay in memory until the task returns: rows x kept keys x
+    (r + 1) N x 8 bytes.
     """
+    split = len(schemes) - (schemes[-1].kind == "te")
+    adaptive, te = schemes[:split], schemes[split:]
     streams = [path_stream(cfg, path) for path in paths]
-    if schemes[0].kind == "te":
-        (scheme,) = schemes
-        return [[_outcome(run_path(cfg, scheme, stream))] for stream in streams]
-    block = _run_block(cfg, schemes, streams, cfg.n_modes)
-    return [[_outcome(run) for run in runs] for runs in block]
+    if adaptive and te:
+        streams = [stream.keep_draws() for stream in streams]
+    block = [()] * len(paths)
+    if adaptive:
+        block = _run_block(cfg, adaptive, streams, cfg.n_modes)
+    return [
+        [_outcome(run) for run in runs]
+        + [_outcome(run_path(cfg, scheme, stream)) for scheme in te]
+        for runs, stream in zip(block, streams)
+    ]
 
 
 def _te_matched_kind(cfg: StudyConfig) -> str | None:
@@ -402,8 +415,10 @@ def te_fallback_step(cfg: StudyConfig, delta: float) -> float:
     That is the fallback length of the first of ateu, atea and ae the
     config runs, or delta T if it runs none of them.  Unless that first
     scheme is ae, whose fallback length is no step it takes, a temporal
-    study guesses this step and runs the level's te paths at it beside
-    the adaptive variants (see `_temporal_cells`).
+    study guesses this step and runs the level's te paths at it in the
+    level's block tasks, after the adaptive variants and on their kept
+    draws: a te step at this length draws the key of any hybrid that fell
+    back at that ordinal (see `_temporal_cells`).
     """
     matched = _te_matched_kind(cfg)
     if matched is None:
@@ -602,15 +617,16 @@ def _cell(key, block) -> CellResult:
 
 
 def _wave(cfg, pool, task, jobs) -> dict[tuple, list]:
-    """Per cell key of jobs (cell keys, delta level i, task args), in key
+    """Per cell key of jobs (key groups, delta level i, task args), in key
     order, its samples' (outcome, CPU seconds) pairs; see `_cell`.
 
     A job runs task(cfg, *args, paths) on blocks of up to BLOCK_ROWS of
     level i's paths, sample s at level i being path i * samples + s; a
-    task gives, per path, one outcome per key, or one that every key
-    shares.  Every task of the wave goes in one map, job by job.  A task's
-    CPU seconds are split equally among the (cell, sample) outcomes it
-    serves, so the pairs' CPU seconds sum to the tasks' CPU seconds.
+    task gives, per path, one outcome per group of cell keys, which every
+    key of the group shares.  Every task of the wave goes in one map, job
+    by job.  A task's CPU seconds are split equally among the (cell,
+    sample) outcomes it serves, so the pairs' CPU seconds sum to the
+    tasks' CPU seconds.
     """
     samples = cfg.samples
     tasks = [
@@ -626,20 +642,17 @@ def _wave(cfg, pool, task, jobs) -> dict[tuple, list]:
             for j, block in tasks
         ],
     )
-    collected = [[[] for _ in keys] for keys, _, _ in jobs]
+    collected = [
+        {key: [] for group in groups for key in group} for groups, _, _ in jobs
+    ]
     for (j, block), (outs, cpu) in zip(tasks, timed):
-        keys = jobs[j][0]
-        share = cpu / (len(keys) * len(block))
+        groups, cells = jobs[j][0], collected[j]
+        share = cpu / (len(cells) * len(block))
         for out in outs:
-            if len(out) == 1:
-                out = out * len(keys)
-            for cell_block, o in zip(collected[j], out):
-                cell_block.append((o, share))
-    return {
-        key: block
-        for (keys, _, _), blocks in zip(jobs, collected)
-        for key, block in zip(keys, blocks)
-    }
+            for group, o in zip(groups, out):
+                for key in group:
+                    cells[key].append((o, share))
+    return {key: block for cells in collected for key, block in cells.items()}
 
 
 # sample paths per task of a wave; see `_temporal_cells`
@@ -651,13 +664,15 @@ def _temporal_cells(
 ) -> list[CellResult]:
     """The (scheme, law, delta) grid, in scheme, law, delta order.
 
-    Sample s at delta level i is path i * samples + s.  One map runs, per
-    level, finest first, so the longest tasks start first, and one task
-    at a time per worker, a task per scheme list of the level and block of
-    up to BLOCK_ROWS of its samples (see `_temporal_outcomes`):
-    - every adaptive (scheme, law) variant, as one `integrate_block`;
-    - te at the guessed step `te_fallback_step`, one `run_path` per path,
-      unless the te baseline matches ae.
+    Sample s at delta level i is path i * samples + s.  One map runs one
+    task per level and block of up to BLOCK_ROWS of its samples, finest
+    level first, so the longest tasks start first, and one task at a time
+    per worker.  A task runs one scheme list (see `_temporal_outcomes`):
+    - every adaptive (scheme, law) variant of the level, as one
+      `integrate_block`;
+    - then te at the guessed step `te_fallback_step`, one `run_path` per
+      path, on the draws the block kept, unless the te baseline matches
+      ae.  Every te cell of the level shares that outcome.
     At 8 rows of 799 grid points (N = 256) one transform of the block costs
     about half as much per row as a single one; more rows save little more.
 
@@ -666,9 +681,10 @@ def _temporal_cells(
     runs at delta T if the study runs none.  A te cell whose te_h equals
     the guess takes the guessed outcomes.  Only the remaining distinct
     (level, te_h) pairs run, in a second map, as te lists on blocks of up
-    to BLOCK_ROWS samples; the te cells of a pair share its outcomes.  Such
-    a cell also keeps its share of the guessed task's CPU seconds, so the
-    cells' cpu_seconds still sum to the tasks' CPU seconds.
+    to BLOCK_ROWS samples and fresh streams; the te cells of a pair share
+    its outcomes.  Such a cell also keeps its share of the first map's
+    task CPU seconds, so the cells' cpu_seconds still sum to the tasks'
+    CPU seconds.
     """
     n = cfg.n_modes
     levels = list(enumerate(cfg.deltas))
@@ -679,14 +695,13 @@ def _temporal_cells(
     guess = "te" in cfg.schemes and matched != "ae"
     jobs = []
     for i, delta in reversed(levels):  # the finest, longest first
-        if variants:
-            keys = [(sk, lt, delta, None, n) for sk, lt in variants]
-            schemes = [make_scheme(cfg, sk, lt, delta) for sk, lt in variants]
-            jobs.append((keys, i, (schemes,)))
+        groups = [[(sk, lt, delta, None, n)] for sk, lt in variants]
+        schemes = [make_scheme(cfg, sk, lt, delta) for sk, lt in variants]
         if guess:
             te_h = te_fallback_step(cfg, delta)
-            keys = [("te", lt, delta, te_h, n) for lt in cfg.laws]
-            jobs.append((keys, i, ([Scheme("te", h=te_h)],)))
+            groups.append([("te", lt, delta, te_h, n) for lt in cfg.laws])
+            schemes.append(Scheme("te", h=te_h))
+        jobs.append((groups, i, (schemes,)))
     blocks = _wave(cfg, pool, _temporal_outcomes, jobs)
     cells = {
         key[:3]: _cell(key, block) for key, block in blocks.items() if key[0] != "te"
@@ -706,7 +721,7 @@ def _temporal_cells(
                     missed.setdefault((i, te_h), []).append(key)
         if missed:
             jobs = [
-                (keys, i, ([Scheme("te", h=te_h)],))
+                ([keys], i, ([Scheme("te", h=te_h)],))
                 for (i, te_h), keys in missed.items()
             ]
             for key, block in _wave(cfg, pool, _temporal_outcomes, jobs).items():
@@ -746,8 +761,8 @@ def _spatial_cells(
     law_token = cfg.laws[0]
     te_h = delta * cfg.horizon
     scheme = make_scheme(cfg, "te", law_token, delta, te_h)
-    keys = [("te", law_token, delta, te_h, n) for n in cfg.spatial_modes]
-    job = (keys, 0, (scheme, cfg.spatial_reference, cfg.spatial_modes))
+    groups = [[("te", law_token, delta, te_h, n)] for n in cfg.spatial_modes]
+    job = (groups, 0, (scheme, cfg.spatial_reference, cfg.spatial_modes))
     blocks = _wave(cfg, pool, _spatial_outcomes, [job])
     return [_cell(key, block) for key, block in blocks.items()]
 

@@ -385,8 +385,8 @@ def test_temporal_study_runs_in_one_map_when_te_steps_match(monkeypatch):
     res = convergence_study(cfg)
     guesses = [experiments.te_fallback_step(cfg, d) for d in cfg.deltas]
     assert [c.te_h for c in res.cells if c.scheme == "te"] == guesses * 2
-    # per delta level, finest first: the adaptive list on each block of
-    # samples, then the te list at the guessed step on each block
+    # per delta level, finest first, one task per block of samples: the
+    # adaptive list, then te at the guessed step
     [(task, tasks)] = calls
     assert task is experiments._temporal_outcomes
     expected = []
@@ -396,12 +396,68 @@ def test_temporal_study_runs_in_one_map_when_te_steps_match(monkeypatch):
             make_scheme(cfg, sk, lt, delta)
             for sk in ("ateu", "atea")
             for lt in cfg.laws
-        ]
+        ] + [Scheme("te", h=guesses[i])]
         for paths in ((3 * i, 3 * i + 1), (3 * i + 2,)):
             expected.append((schemes, paths))
-        for paths in ((3 * i, 3 * i + 1), (3 * i + 2,)):
-            expected.append(([Scheme("te", h=guesses[i])], paths))
     assert tasks == expected
+
+
+def test_te_paths_replay_the_draws_of_the_hybrids_that_fell_back(monkeypatch):
+    # every te cell takes the guessed step here, so a serial study runs
+    # Philox once per (path, step, dt, r) key: a te step at the guessed
+    # length replays the draw of a hybrid that fell back at that ordinal
+    draws, asked, phase = [], [], []
+    increments, generator = NoiseStream.increments, NoiseStream._generator
+
+    def recording_increments(stream, step, dt, r=1):
+        asked.append((phase[-1], (stream.path, step, dt, r)))
+        return increments(stream, step, dt, r)
+
+    def recording_generator(stream, step):
+        draws.append(asked[-1])
+        return generator(stream, step)
+
+    def in_phase(name, run):
+        def running(*args, **kwargs):
+            phase.append(name)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                phase.pop()
+
+        return running
+
+    monkeypatch.setattr(NoiseStream, "increments", recording_increments)
+    monkeypatch.setattr(NoiseStream, "_generator", recording_generator)
+    monkeypatch.setattr(experiments, "integrate", in_phase("te", integrate))
+    monkeypatch.setattr(
+        experiments, "integrate_block", in_phase("block", integrate_block)
+    )
+    cfg = small_config(
+        schemes=("te", "ateu", "atea"), laws=("type1", "type2"),
+        deltas=(0.25, 0.125), samples=3,
+    )
+    res = convergence_study(cfg)
+    te = [c for c in res.cells if c.scheme == "te"]
+    assert all(c.te_h == experiments.te_fallback_step(cfg, c.delta) for c in te)
+    keys = [key for _, key in draws]
+    assert len(keys) == len(set(keys))
+    block_keys = {key for name, key in draws if name == "block"}
+    te_asked = {key for name, key in asked if name == "te"}
+    te_fresh = {key for name, key in draws if name == "te"}
+    # the hybrids fell back at some of te's ordinals, and te drew none of
+    # those keys again
+    assert te_asked & block_keys
+    assert not te_fresh & block_keys
+    assert sum(c.fallback_steps for c in res.cells if c.scheme != "te") > 0
+    monkeypatch.undo()
+    for cell in te:
+        for s, stored in enumerate(cell.outcomes):
+            path = cfg.deltas.index(cell.delta) * cfg.samples + s
+            alone = coupled_error_sample(
+                cfg, "te", cell.law, cell.delta, path, te_h=cell.te_h
+            )
+            assert repr(alone) == repr(stored)
 
 
 def test_te_cells_whose_step_misses_the_guess_run_in_a_second_map(monkeypatch):
@@ -487,16 +543,17 @@ def test_cpu_seconds_is_the_cpu_time_of_the_cells_paths(monkeypatch):
             assert 0.0 < cell.cpu_seconds < 0.5 * nap * cfg.samples, cell
         if cfg.kind == "temporal":
             assert {c.scheme for c in res.cells} == {"te", "ateu", "atea"}
-            # a group task, a guessed te task and a rerun te task serve the
-            # (cell, sample) outcomes of their block of two samples or one;
-            # at delta 0.5 the te step misses the guess, and that cell
-            # keeps its share of the guessed task
+            # a level's block task (the adaptive list, then te at the
+            # guessed step) and a rerun te task serve the (cell, sample)
+            # outcomes of their block of two samples or one; at delta 0.5
+            # the te step misses the guess, and that cell keeps its share
+            # of the block task
             missed = {
                 (c.delta, c.te_h) for c in res.cells if c.scheme == "te"
                 and c.te_h != experiments.te_fallback_step(cfg, c.delta)
             }
             assert len(missed) == 1
-            tasks = 2 * 2 + 2 * 2 + len(missed) * 2
+            tasks = 2 * 2 + len(missed) * 2
         else:
             # a spatial task serves its block of two samples or one in
             # every swept-N cell
@@ -815,8 +872,10 @@ def test_spatial_outcomes_equal_fresh_streams_per_resolution():
 
 
 def test_only_spatial_streams_keep_draws(monkeypatch):
-    # kept draws cost a path's increments in memory: temporal streams,
-    # each run by one path, must never keep theirs
+    # kept draws cost a path's increments in memory: a temporal stream
+    # keeps its draws only in a task that runs te after an adaptive block;
+    # missed-pair te tasks, studies without te and single-path replays
+    # keep none
     kept = []
     original = NoiseStream.keep_draws
 
@@ -825,9 +884,32 @@ def test_only_spatial_streams_keep_draws(monkeypatch):
         return original(stream)
 
     monkeypatch.setattr(NoiseStream, "keep_draws", recording)
-    convergence_study(
-        small_config(samples=3, schemes=("te", "ateu", "atea"), deltas=(0.5, 0.25))
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2)
+    tasks = []
+    outcomes = experiments._temporal_outcomes
+
+    def recording_task(cfg, schemes, paths):
+        tasks.append(([s.kind for s in schemes], paths, len(kept)))
+        return outcomes(cfg, schemes, paths)
+
+    monkeypatch.setattr(experiments, "_temporal_outcomes", recording_task)
+    cfg = small_config(samples=3, schemes=("te", "ateu", "atea"), deltas=(0.5, 0.25))
+    res = convergence_study(cfg)
+    # at delta 0.5 the te step misses the guess and reruns on fresh streams
+    assert any(
+        c.te_h != experiments.te_fallback_step(cfg, c.delta)
+        for c in res.cells if c.scheme == "te"
     )
+    lists = [kinds for kinds, _, _ in tasks]
+    assert lists[:4] == [["ateu", "atea", "te"]] * 4
+    assert lists[4:] and all(kinds == ["te"] for kinds in lists[4:])
+    # every path of the first map's tasks, once, and nothing after
+    assert sorted(kept) == list(range(2 * cfg.samples))
+    assert [before for _, _, before in tasks[4:]] == [len(kept)] * len(tasks[4:])
+    kept.clear()
+    convergence_study(dataclasses.replace(cfg, schemes=("ateu", "atea")))
+    coupled_error_sample(cfg, "te", "type1", 0.25, 3)
+    coupled_error_sample(cfg, "ateu", "type1", 0.25, 3)
     assert kept == []
     cfg = spatial_config()
     convergence_study(cfg)

@@ -4,18 +4,21 @@ Three subcommands: `convergence` runs a configured study and writes CSV
 tables, `trace` records one sample path of one cell step by step, and
 `validate` runs the built-in invariant suites.
 
-`trace --path I` traces noise stream I; sample s of delta level i is path
-i * samples + s.  A temporal trace carries the study's refined reference,
-so its records are the study's coarse path bit for bit, and it exits 3
-exactly when that path diverges.  A spatial trace is the sample's
-reference path.  A te trace steps at `te_fallback_step`, which is the te
-cell's own step unless the cell misses that guess (desk-white at 2^-2).
-Each `validate` suite stops at its first failing check.
+`trace --path I` traces noise stream I, for any I that fits in 32 bits.
+It is study sample s of delta level i only when I = i * samples + s and
+the traced delta is level i's.  A temporal trace carries the study's
+refined reference, so its records are then the study's coarse path bit
+for bit, and it exits 3 exactly when that path diverges.  A spatial
+trace is the sample's reference path.  A te trace steps at
+`te_fallback_step`, which is the te cell's own step unless the cell
+misses that guess (desk-white at 2^-2).  Each `validate` suite stops at
+its first failing check.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration
-error, 3 study error (divergence or runaway partition).  A configuration
-error is raised before anything is written; once a run starts, its
-manifest and resolved config are written even when the study fails midway.
+error (for `--path`, only an index that does not fit in 32 bits), 3
+study error (divergence or runaway partition).  A configuration error is
+raised before anything is written; once a run starts, its manifest and
+resolved config are written even when the study fails midway.
 """
 
 from __future__ import annotations

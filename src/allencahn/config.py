@@ -81,6 +81,13 @@ def parse_delta_token(token: str) -> float:
         raise ConfigError(f"bad delta token {token!r}") from exc
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _split(text: str) -> list[str]:
     return [t for t in text.replace(",", " ").split() if t]
 
@@ -97,7 +104,7 @@ def _delta_repr(d: float) -> str:
 _KINDS = {
     "str": (str, str),
     "int": (int, str),
-    "float": (float, repr),
+    "float": (_finite, repr),
     "list": (lambda t: tuple(_split(t)), ", ".join),
     "intlist": (
         lambda t: tuple(int(x) for x in _split(t)),
@@ -111,7 +118,9 @@ _KINDS = {
 
 
 def parse_config(text: str, source: str = "<string>") -> StudyConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name the empty section, so a [DEFAULT] section is an
+    # ordinary one, and unknown, instead of defaults copied into every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:

@@ -413,12 +413,11 @@ def te_fallback_step(cfg: StudyConfig, delta: float) -> float:
     """The te step the study matches at delta when no hybrid step adapts.
 
     That is the fallback length of the first of ateu, atea and ae the
-    config runs, or delta T if it runs none of them.  Unless that first
-    scheme is ae, whose fallback length is no step it takes, a temporal
-    study guesses this step and runs the level's te paths at it in the
-    level's block tasks, after the adaptive variants and on their kept
-    draws: a te step at this length draws the key of any hybrid that fell
-    back at that ordinal (see `_temporal_cells`).
+    config runs, or delta T if it runs none of them.  A temporal study
+    guesses this step and runs the level's te paths at it in the level's
+    block tasks, after the adaptive variants and on their kept draws: a te
+    step at this length draws the key of any hybrid that fell back at that
+    ordinal (see `_temporal_cells`).
     """
     matched = _te_matched_kind(cfg)
     if matched is None:
@@ -509,7 +508,11 @@ class StabilityReport:
     divergent_samples: int
 
 
-def stability_monitor(cells, ceiling: float = 1000.0) -> StabilityReport:
+# the norm above which a study's stability report reads exceeded
+STABILITY_CEILING = 1000.0
+
+
+def stability_monitor(cells) -> StabilityReport:
     cells = list(cells)
     max_l2 = max((c.max_l2 for c in cells), default=0.0)
     max_sup = max((c.max_sup for c in cells), default=0.0)
@@ -517,8 +520,8 @@ def stability_monitor(cells, ceiling: float = 1000.0) -> StabilityReport:
     return StabilityReport(
         max_l2=max_l2,
         max_sup=max_sup,
-        ceiling=ceiling,
-        exceeded=bool(max_sup > ceiling or max_l2 > ceiling),
+        ceiling=STABILITY_CEILING,
+        exceeded=bool(max_sup > STABILITY_CEILING or max_l2 > STABILITY_CEILING),
         divergent_samples=divergent,
     )
 
@@ -538,21 +541,6 @@ class StudyResult:
     slopes: list[tuple[str, str, FitResult]]  # (scheme, law token, fit)
     slopes_delta: list[tuple[str, str, FitResult]]
     stability: StabilityReport
-
-    def cell(self, scheme: str, law: str, delta: float) -> CellResult:
-        """The one cell with this key; a spatial study's cells all share one."""
-        found = [
-            c for c in self.cells
-            if c.scheme == scheme and c.law == law and c.delta == delta
-        ]
-        if len(found) > 1:
-            raise KeyError(
-                f"{len(found)} cells match {(scheme, law, delta)}; "
-                "pick a spatial cell from cells by n_modes"
-            )
-        if not found:
-            raise KeyError((scheme, law, delta))
-        return found[0]
 
 
 @contextmanager
@@ -671,8 +659,8 @@ def _temporal_cells(
     - every adaptive (scheme, law) variant of the level, as one
       `integrate_block`;
     - then te at the guessed step `te_fallback_step`, one `run_path` per
-      path, on the draws the block kept, unless the te baseline matches
-      ae.  Every te cell of the level shares that outcome.
+      path, on the draws the block kept.  Every te cell of the level
+      shares that outcome.
     At 8 rows of 799 grid points (N = 256) one transform of the block costs
     about half as much per row as a single one; more rows save little more.
 
@@ -690,14 +678,11 @@ def _temporal_cells(
     levels = list(enumerate(cfg.deltas))
     variants = [(sk, lt) for sk in cfg.schemes if sk != "te" for lt in cfg.laws]
     matched = _te_matched_kind(cfg)
-    # ae never takes its fallback length, so a te baseline matched to ae
-    # gets no guess
-    guess = "te" in cfg.schemes and matched != "ae"
     jobs = []
     for i, delta in reversed(levels):  # the finest, longest first
         groups = [[(sk, lt, delta, None, n)] for sk, lt in variants]
         schemes = [make_scheme(cfg, sk, lt, delta) for sk, lt in variants]
-        if guess:
+        if "te" in cfg.schemes:
             te_h = te_fallback_step(cfg, delta)
             groups.append([("te", lt, delta, te_h, n) for lt in cfg.laws])
             schemes.append(Scheme("te", h=te_h))
@@ -725,7 +710,7 @@ def _temporal_cells(
                 for (i, te_h), keys in missed.items()
             ]
             for key, block in _wave(cfg, pool, _temporal_outcomes, jobs).items():
-                earlier = guessed.get(key[:3], [(None, 0.0)] * len(block))
+                earlier = guessed[key[:3]]
                 cells[key[:3]] = _cell(
                     key,
                     [(o, cpu + spent) for (o, cpu), (_, spent) in zip(block, earlier)],

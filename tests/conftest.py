@@ -1,7 +1,8 @@
 """Shared oracles: direct O(M*N) summation transforms, no fast-transform code.
 
 These deliberately avoid scipy.fft so every transform test has an
-independent reference implementation.
+independent reference implementation.  `find_cell` looks up a temporal
+study's cell by its key.
 """
 
 import numpy as np
@@ -23,6 +24,12 @@ def direct_coeffs(values: np.ndarray, n: int) -> np.ndarray:
     i = np.arange(1, n + 1)[:, None]
     table = np.sqrt(2.0) * np.sin(i * np.pi * k / (m + 1)) / (m + 1)
     return table @ values
+
+
+def find_cell(result, scheme: str, law: str, delta: float):
+    """The one cell of a temporal study result with this (scheme, law, delta)."""
+    [found] = [c for c in result.cells if (c.scheme, c.law, c.delta) == (scheme, law, delta)]
+    return found
 
 
 @pytest.fixture

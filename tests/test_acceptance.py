@@ -18,6 +18,7 @@ import pytest
 from allencahn.config import load_preset
 from allencahn.drift import CubicDrift, apply_drift
 from allencahn.experiments import (
+    STABILITY_CEILING,
     convergence_study,
     coupled_error_sample,
     fit_order,
@@ -25,6 +26,8 @@ from allencahn.experiments import (
 )
 from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import SpectralField, l2_norm, lp_norm
+
+from conftest import find_cell
 
 CUBIC = CubicDrift(-1.0, 0.0, 1.0)
 
@@ -34,7 +37,6 @@ SPATIAL_FLOOR = 0.7  # the paper's spatial order beta = 1, less SPATIAL_TOL
 SPATIAL_TOL = 0.3  # slope tolerance around the truncated noise tail's slope
 SPATIAL_TAIL_RTOL = 0.10  # per-N rms against the closed-form tail
 STEP_SLOPE_BAND = (0.9, 1.1)
-STABILITY_CEILING = 1000.0
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +161,7 @@ def test_criterion_4_step_count_law(study_trace):
     horizon = cfg.horizon
     # pathwise bound for the min-capped law under the uniform low bound
     for delta in cfg.deltas:
-        cell = study_trace.cell("ateu", "type1", delta)
+        cell = find_cell(study_trace, "ateu", "type1", delta)
         bound = (1.0 / delta) * horizon * (1.0 / cfg.tau_min + 1.0 / horizon)
         worst = max(o.steps for o in cell.outcomes)
         print(f"criterion 4 ateu/type1 delta={delta}: max steps {worst} "
@@ -170,7 +172,7 @@ def test_criterion_4_step_count_law(study_trace):
         )
     # pathwise bound for the adaptive low bound, from recorded trajectories
     for delta in cfg.deltas:
-        cell = study_trace.cell("atea", "type1", delta)
+        cell = find_cell(study_trace, "atea", "type1", delta)
         for o in cell.outcomes:
             bound = (1.0 / delta) * horizon * o.max_bound_expr
             assert o.steps <= bound, (
@@ -180,7 +182,7 @@ def test_criterion_4_step_count_law(study_trace):
     # mean step count must scale like 1/delta
     lo, hi = STEP_SLOPE_BAND
     for scheme in ("ateu", "atea"):
-        cells = [study_trace.cell(scheme, "type1", d) for d in cfg.deltas]
+        cells = [find_cell(study_trace, scheme, "type1", d) for d in cfg.deltas]
         x = np.log([1.0 / c.delta for c in cells])
         y = np.log([c.mean_steps for c in cells])
         slope = float(np.polyfit(x, y, 1)[0])
@@ -213,7 +215,7 @@ def test_criterion_5_coupling_exactness(study_trace, study_white, study_spatial)
         ("te", "type2", 1, 88),
     )
     for scheme, law, i, s in picks:
-        cell = study_trace.cell(scheme, law, cfg.deltas[i])
+        cell = find_cell(study_trace, scheme, law, cfg.deltas[i])
         alone = coupled_error_sample(
             cfg, scheme, law, cell.delta, i * cfg.samples + s, te_h=cell.te_h
         )

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from allencahn.experiments import (
 from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import SpectralField
 from allencahn.stepping import integrate
+
+from conftest import find_cell
 
 
 def temporal_cfg():
@@ -328,6 +331,41 @@ def test_cli_rejects_bad_value_before_writing(tmp_path, capsys, line, bad):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section, key", [(s, k) for s, k, _, kind in _KEYS if kind == "float"]
+)
+def test_cli_rejects_a_non_finite_number_before_writing(tmp_path, capsys, section, key):
+    lines = render_config(load_preset("smoke")).splitlines()
+    [at] = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]
+    out = tmp_path / "out"
+    for value in ("nan", "inf", "-inf"):
+        lines[at] = f"{key} = {value}"
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*{value}"):
+            parse_config(text)
+        cfg_file = tmp_path / "bad.ini"
+        cfg_file.write_text(text, encoding="utf-8")
+        assert run_cli("convergence", "--config", str(cfg_file), "--out", str(out)) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "defaults", ["seed = 3\n", "foo = 1\n", ""], ids=["known", "unknown", "empty"]
+)
+def test_a_default_section_is_an_unknown_section(tmp_path, capsys, defaults):
+    # configparser would copy [DEFAULT] keys into every section
+    text = f"[DEFAULT]\n{defaults}[study]\ndeltas = 2^-2, 2^-3\nn_modes = 16\n"
+    with pytest.raises(ConfigError, match=r"unknown config keys: \[DEFAULT\]$"):
+        parse_config(text)
+    cfg_file = tmp_path / "default.ini"
+    cfg_file.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--config", str(cfg_file), "--out", str(out)) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_retired_stability_ceiling_is_an_unknown_key(tmp_path, capsys):
     # the stability report's ceiling is fixed at 1000; a config that still
     # sets one fails before any output, like the other retired keys
@@ -539,7 +577,7 @@ def test_cli_trace_uniform_scheme(tmp_path):
     assert float(rows[4][3]) == pytest.approx(0.2, abs=1e-15)
     manifest = (out / "manifest.txt").read_text(encoding="utf-8")
     assert "cell=(te, type1, 0.25) h=0.2 steps=5" in manifest
-    cell = convergence_study(load_preset("smoke")).cell("te", "type1", 0.25)
+    cell = find_cell(convergence_study(load_preset("smoke")), "te", "type1", 0.25)
     assert cell.te_h == 0.2
     assert cell.outcomes[0].steps == len(rows)
 
@@ -732,3 +770,15 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "convergence" in proc.stdout and "trace" in proc.stdout
+
+
+def test_readme_library_snippet_runs(capsys):
+    # README's "Library use" example, run as written, so the documented
+    # API cannot drift from the package's
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(snippet, str(readme), "exec"), {})
+    steps, gap = capsys.readouterr().out.split()
+    assert int(steps) > 0
+    assert 0.0 < float(gap) < 0.1

@@ -27,6 +27,7 @@ from allencahn.experiments import (
     resolve_family,
     rms_error,
     spatial_study,
+    STABILITY_CEILING,
     stability_monitor,
     write_cells_csv,
     write_slopes_csv,
@@ -36,7 +37,7 @@ from allencahn.noise import NoiseSpec, NoiseStream
 from allencahn.spectral import eigenvalues
 from allencahn.stepping import Scheme, integrate, integrate_block
 
-from conftest import direct_coeffs, direct_values
+from conftest import direct_coeffs, direct_values, find_cell
 
 
 def small_config(**overrides):
@@ -269,11 +270,9 @@ def test_convergence_study_grid(small_study):
     assert len(small_study.cells) == len(cfg.schemes) * len(cfg.deltas)
     for s in cfg.schemes:
         for d in cfg.deltas:
-            cell = small_study.cell(s, "type1", d)
+            cell = find_cell(small_study, s, "type1", d)
             assert cell.divergent == 0
             assert cell.rms > 0
-    with pytest.raises(KeyError):
-        small_study.cell("te", "type1", 0.3)
 
 
 def test_convergence_study_is_deterministic(small_study):
@@ -288,8 +287,8 @@ def test_convergence_study_is_deterministic(small_study):
 
 def test_te_step_matched_to_adaptive_cost(small_study):
     for d in small_study.config.deltas:
-        adaptive = small_study.cell("ateu", "type1", d)
-        te = small_study.cell("te", "type1", d)
+        adaptive = find_cell(small_study, "ateu", "type1", d)
+        te = find_cell(small_study, "te", "type1", d)
         assert te.te_h == pytest.approx(1.0 / adaptive.mean_steps)
 
 
@@ -306,11 +305,18 @@ def test_errors_shrink_with_delta(small_study):
 
 def test_stability_report_tracks_extremes(small_study):
     rep = small_study.stability
+    assert rep.ceiling == STABILITY_CEILING
     assert not rep.exceeded
-    assert 0.0 < rep.max_sup < 1000.0
+    assert 0.0 < rep.max_sup < STABILITY_CEILING
     assert rep.divergent_samples == 0
-    tight = stability_monitor(small_study.cells, ceiling=rep.max_sup / 2.0)
-    assert tight.exceeded
+    # one outcome past the ceiling, in either norm, makes the report exceeded
+    cell = small_study.cells[0]
+    for norm in ("max_sup", "max_l2"):
+        loud = dataclasses.replace(
+            cell.outcomes[0], **{norm: 2.0 * STABILITY_CEILING}
+        )
+        cells = [*small_study.cells, dataclasses.replace(cell, outcomes=(loud,))]
+        assert stability_monitor(cells).exceeded, norm
 
 
 def test_study_raises_when_every_sample_diverges():
@@ -497,17 +503,28 @@ def test_te_cells_whose_step_misses_the_guess_run_in_a_second_map(monkeypatch):
         )
 
 
-def test_te_matched_to_ae_makes_no_guessed_task(monkeypatch):
-    # ae never takes its fallback length, so no te step is guessed
+def test_te_matched_to_ae_guesses_its_fallback_step(monkeypatch):
+    # te matched to ae is guessed like any te baseline; ae never takes its
+    # fallback length, so every te cell misses the guess and reruns
     calls = _counting_maps(monkeypatch)
     cfg = small_config(schemes=("te", "ae"), deltas=(2.0**-2, 2.0**-3), samples=3)
     res = convergence_study(cfg)
     [(_, tasks), (_, reruns)] = calls
-    assert all([s.kind for s in schemes] == ["ae"] for schemes, _ in tasks)
-    te_paths = {(c.delta, c.te_h) for c in res.cells if c.scheme == "te"}
+    guesses = [experiments.te_fallback_step(cfg, d) for d in reversed(cfg.deltas)]
+    assert [[(s.kind, s.h) for s in schemes] for schemes, _ in tasks] == [
+        [("ae", None), ("te", h)] for h in guesses
+    ]
+    te = [c for c in res.cells if c.scheme == "te"]
+    assert not {c.te_h for c in te} & set(guesses)
     blocks = math.ceil(cfg.samples / experiments.BLOCK_ROWS)
-    assert len(reruns) == len(te_paths) * blocks
+    assert len(reruns) == len(te) * blocks
     assert all([s.kind for s in schemes] == ["te"] for schemes, _ in reruns)
+    for i, c in enumerate(te):
+        for s, stored in enumerate(c.outcomes):
+            alone = coupled_error_sample(
+                cfg, "te", c.law, c.delta, i * cfg.samples + s, te_h=c.te_h
+            )
+            assert repr(alone) == repr(stored)
 
 
 def _napping(run, nap):
@@ -615,7 +632,7 @@ def test_outcomes_carry_the_branch_mix(small_study):
         scheme, initial_state(cfg.initial, cfg.n_modes), cfg.horizon, stream,
         cfg.drift, refinement=cfg.refinement,
     ).summary
-    stored = small_study.cell("ateu", "type1", delta).outcomes[1]
+    stored = find_cell(small_study, "ateu", "type1", delta).outcomes[1]
     assert (stored.adaptive_steps, stored.fallback_steps, stored.clamp_steps) == (
         summary.adaptive_steps, summary.fallback_steps, summary.clamp_steps
     )
@@ -726,16 +743,6 @@ def spatial_config(**overrides):
     )
     base.update(overrides)
     return StudyConfig(**base)
-
-
-def test_cell_lookup_refuses_an_ambiguous_key():
-    # every cell of a spatial study is ("te", law, delta); only n_modes differs
-    res = convergence_study(spatial_config())
-    assert len(res.cells) == 3
-    with pytest.raises(KeyError, match="3 cells"):
-        res.cell("te", "type1", 2.0**-3)
-    with pytest.raises(KeyError):
-        res.cell("te", "type1", 0.5)
 
 
 def test_spatial_sample_shares_the_partition():
@@ -871,7 +878,7 @@ def test_spatial_outcomes_equal_fresh_streams_per_resolution():
     assert repr(shared) == repr(alone)
 
 
-def test_only_spatial_streams_keep_draws(monkeypatch):
+def test_streams_keep_draws_only_where_a_later_run_replays_them(monkeypatch):
     # kept draws cost a path's increments in memory: a temporal stream
     # keeps its draws only in a task that runs te after an adaptive block;
     # missed-pair te tasks, studies without te and single-path replays

@@ -28,7 +28,8 @@ def direct_coeffs(values: np.ndarray, n: int) -> np.ndarray:
 
 def find_cell(result, scheme: str, law: str, delta: float):
     """The one cell of a temporal study result with this (scheme, law, delta)."""
-    [found] = [c for c in result.cells if (c.scheme, c.law, c.delta) == (scheme, law, delta)]
+    key = (scheme, law, delta)
+    [found] = [c for c in result.cells if (c.scheme, c.law, c.delta) == key]
     return found
 
 

@@ -37,7 +37,6 @@ _KEYS = (
     ("study", "refinement", "refinement", "int"),
     ("study", "initial", "initial", "str"),
     ("study", "threads", "threads", "int"),
-    ("study", "step_ceiling", "step_ceiling", "int"),
     ("study", "spatial_modes", "spatial_modes", "intlist"),
     ("study", "spatial_reference", "spatial_reference", "int"),
     ("noise", "kind", "noise_kind", "str"),
@@ -81,13 +80,6 @@ def parse_delta_token(token: str) -> float:
         raise ConfigError(f"bad delta token {token!r}") from exc
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
 def _split(text: str) -> list[str]:
     return [t for t in text.replace(",", " ").split() if t]
 
@@ -104,7 +96,7 @@ def _delta_repr(d: float) -> str:
 _KINDS = {
     "str": (str, str),
     "int": (int, str),
-    "float": (_finite, repr),
+    "float": (float, repr),
     "list": (lambda t: tuple(_split(t)), ", ".join),
     "intlist": (
         lambda t: tuple(int(x) for x in _split(t)),

@@ -40,6 +40,9 @@ class CubicDrift:
     a0: float = 0.0
 
     def __post_init__(self):
+        for name in ("a3", "a2", "a1", "a0"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.a3 < 0:
             raise ValueError(
                 f"cubic coefficient must be negative for dissipativity, got a3={self.a3}"

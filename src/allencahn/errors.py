@@ -22,14 +22,14 @@ class BlowUpError(RuntimeError):
 
 
 class RunawayPartitionError(RuntimeError):
-    """The integrator exceeded its step ceiling before reaching the horizon."""
+    """A step did not advance t, or the integrator reached its step ceiling."""
 
     def __init__(self, steps: int, time: float):
         self.steps = steps
         self.time = time
         super().__init__(
-            f"step ceiling reached after {steps} steps at t={time:.6g}; "
-            "the adaptive partition is not making progress"
+            f"partition ran away after {steps} steps at t={time:.6g}: "
+            "a step did not advance t, or the step ceiling was reached"
         )
 
     def __reduce__(self):

@@ -64,7 +64,6 @@ class StudyConfig:
     xi: float = 10.0
     q0: float = 1.0
     tau_min: float = 0.2
-    step_ceiling: int = 10_000_000
     threads: int = 1
     spatial_modes: tuple[int, ...] = ()
     spatial_reference: int = 0
@@ -85,8 +84,6 @@ class StudyConfig:
             raise ConfigError("need at least two samples")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-        if self.step_ceiling < 1:
-            raise ConfigError("step_ceiling must be at least 1")
         if not self.schemes or not self.laws:
             raise ConfigError("need at least one scheme and one law")
         unknown = [s for s in self.schemes if s not in SCHEME_KINDS]
@@ -112,6 +109,8 @@ class StudyConfig:
                 raise ConfigError(
                     "spatial study runs the te scheme alone, under exactly one law"
                 )
+        elif self.spatial_modes or self.spatial_reference:
+            raise ConfigError("spatial_modes and spatial_reference need kind = spatial")
         elif self.refinement < 2:
             raise ConfigError("a temporal study needs refinement >= 2 for its reference")
         # The objects a study builds from these values own their checks;
@@ -255,7 +254,6 @@ def run_path(
             cfg.horizon,
             stream,
             cfg.drift,
-            step_ceiling=cfg.step_ceiling,
             collect_records=collect_records,
             **_form(cfg)[1],
         )
@@ -272,7 +270,6 @@ def _run_block(cfg: StudyConfig, schemes, streams, modes: int):
         cfg.horizon,
         streams,
         cfg.drift,
-        step_ceiling=cfg.step_ceiling,
         **_form(cfg)[1],
     )
 

@@ -38,8 +38,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected {_KINDS}")
         if self.n_modes < 1:
             raise ValueError("need at least one noise mode")
-        if self.scale < 0:
-            raise ValueError("noise scale must be nonnegative")
+        if not 0 <= self.scale < np.inf:
+            raise ValueError(f"noise scale must be finite and >= 0, got {self.scale!r}")
 
     @cached_property
     def mode_variances(self) -> np.ndarray:

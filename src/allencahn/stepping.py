@@ -42,6 +42,8 @@ FAMILIES = AU_FAMILIES + AA_FAMILIES
 
 SCHEME_KINDS = ("ae", "te", "ateu", "atea")
 
+STEP_CEILING = 10_000_000  # a partition this many steps long has run away
+
 _FOUR_THIRDS = 4.0 / 3.0
 
 
@@ -73,6 +75,9 @@ class TimestepLaw:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown timestep family {self.family!r}")
+        for name in ("delta", "horizon", "phi", "zeta", "xi", "q0", "tau_min"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if self.horizon <= 0:
@@ -268,7 +273,7 @@ def integrate(
     drift: CubicDrift,
     *,
     refinement: int = 1,
-    step_ceiling: int = 10_000_000,
+    step_ceiling: int = STEP_CEILING,
     collect_records: bool = False,
     exact_convolution: bool = False,
 ) -> IntegrationResult:
@@ -297,7 +302,8 @@ def integrate(
     bookkeeping in the summary.
 
     This is the one-scheme, one-row call of `integrate_block`: a blow-up
-    raises `BlowUpError`, a runaway partition `RunawayPartitionError`.
+    raises `BlowUpError`, and a runaway partition, at the latest after
+    `step_ceiling` = `STEP_CEILING` steps, `RunawayPartitionError`.
     """
     ((result,),) = integrate_block(
         [scheme],
@@ -323,7 +329,7 @@ def integrate_block(
     drift: CubicDrift,
     *,
     refinement: int = 1,
-    step_ceiling: int = 10_000_000,
+    step_ceiling: int = STEP_CEILING,
     collect_records: bool = False,
     exact_convolution: bool = False,
 ) -> list[list[IntegrationResult | BlowUpError]]:
@@ -357,7 +363,7 @@ def integrate_block(
 
     A member whose partition runs away raises `RunawayPartitionError` for
     the whole block: its step length is not positive or does not advance
-    t, or its group reaches `step_ceiling` steps.
+    t, or its group reaches `step_ceiling` steps (by default `STEP_CEILING`).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 from pathlib import Path
 
@@ -116,7 +117,6 @@ def test_every_field_round_trips():
         xi=7.0,
         q0=2.0,
         tau_min=0.05,
-        step_ceiling=1234,
         threads=3,
         spatial_modes=(8, 16),
         spatial_reference=32,
@@ -311,7 +311,6 @@ def test_cli_missing_config_file(tmp_path, capsys):
         ("xi = 10.0", "xi = 0.0"),
         ("q0 = 1.0", "q0 = -1.0"),
         ("threads = 1", "threads = -3"),
-        ("step_ceiling = 10000000", "step_ceiling = 0"),
         ("tau_min = 0.2", "tau_min = 0.2\nuncapped_fallback = true"),
         ("tau_min = 0.2", "tau_min = 0.2\nprojected_drift_norm = true"),
         ("laws = type1", "laws = au1"),
@@ -341,13 +340,28 @@ def test_cli_rejects_a_non_finite_number_before_writing(tmp_path, capsys, sectio
     for value in ("nan", "inf", "-inf"):
         lines[at] = f"{key} = {value}"
         text = "\n".join(lines) + "\n"
-        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*{value}"):
+        with pytest.raises(ConfigError, match=rf"\b{key} .*, got {value}$"):
             parse_config(text)
         cfg_file = tmp_path / "bad.ini"
         cfg_file.write_text(text, encoding="utf-8")
         assert run_cli("convergence", "--config", str(cfg_file), "--out", str(out)) == 2
-        assert f"[{section}] {key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{key} " in err and f", got {value}" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, field",
+    [(k, f) for _, k, f, kind in _KEYS if kind == "float"],
+    ids=[f for *_, f, kind in _KEYS if kind == "float"],
+)
+def test_study_config_refuses_a_non_finite_number(key, field):
+    # a library caller gets the INI reader's refusal: each value's owner
+    # checks it, and the config builds every owner (the noise owns "scale")
+    smoke = load_preset("smoke")
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=rf"\b{key} .*, got {value}$"):
+            dataclasses.replace(smoke, **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -363,6 +377,46 @@ def test_a_default_section_is_an_unknown_section(tmp_path, capsys, defaults):
     out = tmp_path / "out"
     assert run_cli("convergence", "--config", str(cfg_file), "--out", str(out)) == 2
     assert "[DEFAULT]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retired_step_ceiling_is_an_unknown_key(tmp_path, capsys):
+    # the integrator's step ceiling is fixed at STEP_CEILING; a config that
+    # still sets one fails before any output, like the other retired keys
+    text = render_config(load_preset("smoke")).replace(
+        "\nthreads = 1\n", "\nthreads = 1\nstep_ceiling = 10000000\n"
+    )
+    with pytest.raises(ConfigError, match=r"unknown config keys: \[study\] step_ceiling$"):
+        parse_config(text)
+    cfg_file = tmp_path / "ceiling.ini"
+    cfg_file.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--config", str(cfg_file), "--out", str(out)) == 2
+    assert "step_ceiling" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unset", [None, "spatial_modes", "spatial_reference"])
+def test_a_temporal_config_refuses_the_spatial_keys(tmp_path, capsys, unset):
+    # the keys are for kind = spatial; a temporal study would ignore them
+    spatial = {"kind": "temporal"}
+    if unset:
+        spatial[unset] = getattr(StudyConfig(deltas=(1.0,)), unset)
+    with pytest.raises(ConfigError, match="need kind = spatial"):
+        dataclasses.replace(spatial_cfg(), **spatial)
+    lines = render_config(spatial_cfg()).splitlines()
+    text = "".join(
+        line.replace("kind = spatial", "kind = temporal") + "\n"
+        for line in lines
+        if not (unset and line.startswith(f"{unset} = "))
+    )
+    with pytest.raises(ConfigError, match="need kind = spatial"):
+        parse_config(text)
+    cfg_file = tmp_path / "temporal.ini"
+    cfg_file.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--config", str(cfg_file), "--out", str(out)) == 2
+    assert "need kind = spatial" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -682,7 +736,6 @@ def _traced_records(tmp_path, preset, scheme_kind, law, delta, path, **kwargs):
         cfg.horizon,
         NoiseStream(NoiseSpec(cfg.noise_kind, n, cfg.noise_scale), cfg.seed, path),
         cfg.drift,
-        step_ceiling=cfg.step_ceiling,
         collect_records=True,
         **kwargs,
     )

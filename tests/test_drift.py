@@ -37,6 +37,14 @@ def test_construction_rejects_nonnegative_cubic_term():
         CubicDrift(0.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("name", ["a3", "a2", "a1", "a0"])
+def test_construction_refuses_a_non_finite_coefficient(name):
+    coefficients = {"a3": -1.0, "a2": 0.0, "a1": 1.0, "a0": 0.0}
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            CubicDrift(**{**coefficients, name: value})
+
+
 def test_pointwise_polynomial():
     drift = CubicDrift(-2.0, 3.0, -1.0, 0.5)
     u = np.linspace(-2, 2, 9)

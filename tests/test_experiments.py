@@ -166,8 +166,6 @@ def test_study_config_validation():
     for threads in (0, -3):
         with pytest.raises(ConfigError):
             small_config(threads=threads)
-    with pytest.raises(ConfigError):
-        small_config(step_ceiling=0)
     # each spatial case below breaks one rule of an otherwise valid config
     with pytest.raises(ConfigError):
         spatial_config(spatial_modes=())
@@ -328,15 +326,23 @@ def test_study_raises_when_every_sample_diverges():
             convergence_study(cfg)
 
 
+def _stalled(cfg):
+    """cfg with ae under au1 from X = 0 and no noise: its first step has
+    tau = 0, so every path runs away at t = 0."""
+    return dataclasses.replace(
+        cfg, schemes=("ae",), laws=("type1",), initial="zero", noise_scale=0.0
+    )
+
+
 def test_pooled_study_reports_runaway_partition():
-    # te at delta T = 1/4 needs four steps; a ceiling of two runs away in a
-    # pool worker, and the error must come back as itself, not as a broken pool
+    # the runaway happens in a pool worker, and the error must come back as
+    # itself, not as a broken pool
     cfg = StudyConfig(
         deltas=(0.25, 0.125), schemes=("te",), n_modes=8, samples=2,
-        refinement=2, step_ceiling=2, threads=2,
+        refinement=2, threads=2,
     )
-    with pytest.raises(RunawayPartitionError):
-        convergence_study(cfg)
+    with pytest.raises(RunawayPartitionError, match="after 0 steps at t=0: "):
+        convergence_study(_stalled(cfg))
 
 
 class _RecordingPool:
@@ -364,7 +370,7 @@ def test_pool_cancels_queued_paths_only_when_a_study_raises(monkeypatch):
     convergence_study(cfg)
     assert _RecordingPool.shutdowns == [((), {})]
     with pytest.raises(RunawayPartitionError):
-        convergence_study(dataclasses.replace(cfg, step_ceiling=2))
+        convergence_study(_stalled(cfg))
     assert _RecordingPool.shutdowns[1:] == [((), {"cancel_futures": True})]
 
 

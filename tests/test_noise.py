@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -14,6 +15,12 @@ def test_spec_validation():
         NoiseSpec("white", 0)
     with pytest.raises(ValueError):
         NoiseSpec("white", 4, scale=-1.0)
+
+
+def test_spec_refuses_a_non_finite_scale():
+    for scale in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^noise scale .*, got {scale}$"):
+            NoiseSpec("white", 4, scale=scale)
 
 
 def test_mode_variances():

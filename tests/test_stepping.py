@@ -113,6 +113,15 @@ def test_law_validation():
     TimestepLaw("au1", 0.25, zeta=0.0, q0=0.0)
 
 
+@pytest.mark.parametrize(
+    "name", ["delta", "horizon", "phi", "zeta", "xi", "q0", "tau_min"]
+)
+def test_law_refuses_a_non_finite_parameter(name):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            TimestepLaw(**{"family": "au1", "delta": 0.25, name: value})
+
+
 def test_law_needs_lp_norms():
     assert TimestepLaw("aa2", 0.5).needs_lp_norms
     assert not TimestepLaw("au2", 0.5).needs_lp_norms
@@ -442,6 +451,18 @@ def test_runaway_partition_from_degenerate_law():
     law = TimestepLaw("au1", 0.25)
     with pytest.raises(RunawayPartitionError):
         integrate(Scheme("ae", law=law), zero(), 1.0, stream(scale=0.0), CUBIC)
+
+
+def test_runaway_message_covers_a_stalled_step_and_the_ceiling():
+    # au1 at X = 0 stalls at once, long before any ceiling
+    law = TimestepLaw("au1", 0.25)
+    with pytest.raises(RunawayPartitionError) as info:
+        integrate(Scheme("ae", law=law), zero(), 1.0, stream(scale=0.0), CUBIC)
+    assert (info.value.steps, info.value.time) == (0, 0.0)
+    assert str(info.value) == (
+        "partition ran away after 0 steps at t=0: "
+        "a step did not advance t, or the step ceiling was reached"
+    )
 
 
 def test_step_ceiling_triggers_runaway_error():

@@ -114,8 +114,8 @@ class NoiseStream:
         has per-mode variance q_i * dt / r.  The coarse increment is defined
         as the sum of the rows; nothing is ever resampled.
         """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         if r < 1:
             raise ValueError("refinement factor must be at least 1")
         kept = self.__dict__.get("_kept")

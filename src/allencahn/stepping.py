@@ -158,8 +158,8 @@ class Scheme:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "te":
-            if self.h is None or self.h <= 0:
-                raise ValueError("te scheme needs a positive uniform step h")
+            if self.h is None or not 0 < self.h < math.inf:
+                raise ValueError(f"te scheme needs a finite step h > 0, got {self.h!r}")
         else:
             if self.law is None:
                 raise ValueError(f"{self.kind} scheme needs a timestep law")
@@ -273,7 +273,6 @@ def integrate(
     drift: CubicDrift,
     *,
     refinement: int = 1,
-    step_ceiling: int = STEP_CEILING,
     collect_records: bool = False,
     exact_convolution: bool = False,
 ) -> IntegrationResult:
@@ -301,9 +300,9 @@ def integrate(
     clamped steps are tagged final-clamp and excluded from the low-bound
     bookkeeping in the summary.
 
-    This is the one-scheme, one-row call of `integrate_block`: a blow-up
-    raises `BlowUpError`, and a runaway partition, at the latest after
-    `step_ceiling` = `STEP_CEILING` steps, `RunawayPartitionError`.
+    This is the one-scheme, one-row call of `integrate_block`, with its
+    refusals and its runaway ceiling: a blow-up raises `BlowUpError`, and a
+    runaway partition `RunawayPartitionError`.
     """
     ((result,),) = integrate_block(
         [scheme],
@@ -312,7 +311,6 @@ def integrate(
         [stream],
         drift,
         refinement=refinement,
-        step_ceiling=step_ceiling,
         collect_records=collect_records,
         exact_convolution=exact_convolution,
     )
@@ -329,7 +327,6 @@ def integrate_block(
     drift: CubicDrift,
     *,
     refinement: int = 1,
-    step_ceiling: int = STEP_CEILING,
     collect_records: bool = False,
     exact_convolution: bool = False,
 ) -> list[list[IntegrationResult | BlowUpError]]:
@@ -361,12 +358,13 @@ def integrate_block(
     meet again.  A row that blows up ends its members there; the other
     rows go on.
 
-    A member whose partition runs away raises `RunawayPartitionError` for
-    the whole block: its step length is not positive or does not advance
-    t, or its group reaches `step_ceiling` steps (by default `STEP_CEILING`).
+    A horizon outside (0, inf) raises `ValueError`.  A member whose
+    partition runs away raises `RunawayPartitionError` for the whole block:
+    its step length is not positive or does not advance t, or its group
+    reaches the fixed ceiling of `STEP_CEILING` steps.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if refinement < 1:
         raise ValueError("refinement factor must be at least 1")
     if exact_convolution and refinement > 1:
@@ -375,6 +373,7 @@ def integrate_block(
     if any(stream.spec.n_modes < n for stream in streams):
         raise ValueError("noise stream carries fewer modes than the state")
     track_reference = refinement > 1
+    ceiling = STEP_CEILING
     reads_drift_norm = collect_records or any(s.kind != "te" for s in schemes)
 
     # lam as a (1, N) row: the step factors take a block row's shape, so a
@@ -411,7 +410,7 @@ def integrate_block(
     live = [(rows, x0, x0, 0.0, 0, (None,))]
     while live:
         rows, x, xr, t, steps, last = live.pop()
-        if steps >= step_ceiling:
+        if steps >= ceiling:
             raise RunawayPartitionError(steps, t)
 
         if track_reference:

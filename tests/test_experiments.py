@@ -230,6 +230,15 @@ def test_coupled_error_sample_zero_noise_zero_error():
     assert out.error == 0.0
 
 
+def test_coupled_error_sample_refuses_a_non_finite_te_step():
+    # before, nan was reported as a divergence at t = 0 and inf took one
+    # final-clamp step
+    cfg = small_config()
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"step h > 0, got {h}$"):
+            coupled_error_sample(cfg, "te", "type1", 0.25, 0, te_h=h)
+
+
 def test_coupled_error_sample_is_deterministic():
     cfg = small_config()
     a = coupled_error_sample(cfg, "ateu", "type1", 0.125, path=2)

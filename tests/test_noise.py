@@ -23,6 +23,13 @@ def test_spec_refuses_a_non_finite_scale():
             NoiseSpec("white", 4, scale=scale)
 
 
+def test_increments_refuse_a_non_finite_dt():
+    stream = NoiseStream(NoiseSpec("white", 4), 0, 0)
+    for dt in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^dt .*, got {dt}$"):
+            stream.increments(0, dt, 2)
+
+
 def test_mode_variances():
     tc = NoiseSpec("trace-class", 4)
     assert np.allclose(tc.mode_variances, [1.0, 0.25, 1.0 / 9.0, 1.0 / 16.0])

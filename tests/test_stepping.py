@@ -1,3 +1,4 @@
+import inspect
 import math
 import pickle
 from dataclasses import dataclass
@@ -341,6 +342,12 @@ def test_scheme_validation():
     assert Scheme("ateu", law=law).fallback_length == pytest.approx(2.0**-4)
 
 
+def test_te_scheme_refuses_a_non_finite_step():
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"step h > 0, got {h}$"):
+            Scheme("te", h=h)
+
+
 # ---------------------------------------------------------------------------
 # integrator behaviour
 
@@ -389,6 +396,17 @@ def test_integrate_validation():
         integrate(Scheme("ae", law=law), e1(), 1.0, stream(), CUBIC, refinement=0)
     with pytest.raises(ValueError):
         integrate(Scheme("ae", law=law), e1(16), 1.0, stream(8), CUBIC)
+
+
+def test_integrate_refuses_a_non_finite_horizon(monkeypatch):
+    # refused before any draw: before, nan and inf stepped to the ceiling
+    def no_draw(*args):
+        raise AssertionError("an increment was drawn")
+
+    monkeypatch.setattr(NoiseStream, "increments", no_draw)
+    for horizon in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^horizon .*, got {horizon}$"):
+            integrate(Scheme("te", h=0.25), e1(), horizon, stream(), CUBIC)
 
 
 def test_ateu_reduces_to_ae_when_fallback_never_fires():
@@ -465,13 +483,22 @@ def test_runaway_message_covers_a_stalled_step_and_the_ceiling():
     )
 
 
-def test_step_ceiling_triggers_runaway_error():
+def test_step_ceiling_triggers_runaway_error(monkeypatch):
+    monkeypatch.setattr(stepping, "STEP_CEILING", 50)
     law = FixedLaw(1e-4)
     with pytest.raises(RunawayPartitionError) as info:
-        integrate(
-            Scheme("ae", law=law), e1(), 1.0, stream(), CUBIC, step_ceiling=50
-        )
+        integrate(Scheme("ae", law=law), e1(), 1.0, stream(), CUBIC)
     assert info.value.steps == 50
+
+
+def test_integrator_entries_take_three_keywords():
+    for entry in (integrate, integrate_block):
+        keywords = [
+            p.name
+            for p in inspect.signature(entry).parameters.values()
+            if p.kind is p.KEYWORD_ONLY
+        ]
+        assert keywords == ["refinement", "collect_records", "exact_convolution"]
 
 
 def test_pathwise_step_count_bound_min_capped():
@@ -681,18 +708,17 @@ def test_group_member_blows_up_while_another_completes(monkeypatch):
             integrate(ae(0.1), big, 1.0, stream(4), CUBIC)
 
 
-def test_group_raises_its_members_runaway():
+def test_group_raises_its_members_runaway(monkeypatch):
+    monkeypatch.setattr(stepping, "STEP_CEILING", 5)
     schemes = [Scheme("te", h=0.25), Scheme("te", h=0.1)]
     with pytest.raises(RunawayPartitionError) as alone:
-        integrate(schemes[1], e1(), 1.0, stream(), CUBIC, step_ceiling=5)
+        integrate(schemes[1], e1(), 1.0, stream(), CUBIC)
     with pytest.raises(RunawayPartitionError) as grouped:
-        integrate_block(schemes, e1(), 1.0, [stream()], CUBIC, step_ceiling=5)
+        integrate_block(schemes, e1(), 1.0, [stream()], CUBIC)
     assert (grouped.value.steps, grouped.value.time) == (
         alone.value.steps, alone.value.time
     )
-    ((finished,),) = integrate_block(
-        schemes[:1], e1(), 1.0, [stream()], CUBIC, step_ceiling=5
-    )
+    ((finished,),) = integrate_block(schemes[:1], e1(), 1.0, [stream()], CUBIC)
     assert finished.summary.steps == 4
 
 
@@ -907,13 +933,14 @@ def test_block_row_blows_up_while_the_others_complete(monkeypatch, refinement):
             assert last.branch == CLAMP and last.t + last.tau == 1.0
 
 
-def test_block_raises_its_rows_runaway():
+def test_block_raises_its_rows_runaway(monkeypatch):
+    monkeypatch.setattr(stepping, "STEP_CEILING", 5)
     schemes = [Scheme("te", h=0.1)]
     streams = [stream(seed=s) for s in range(3)]
     with pytest.raises(RunawayPartitionError) as alone:
-        integrate_block(schemes, e1(), 1.0, streams[:1], CUBIC, step_ceiling=5)
+        integrate_block(schemes, e1(), 1.0, streams[:1], CUBIC)
     with pytest.raises(RunawayPartitionError) as blocked:
-        integrate_block(schemes, e1(), 1.0, streams, CUBIC, step_ceiling=5)
+        integrate_block(schemes, e1(), 1.0, streams, CUBIC)
     assert (blocked.value.steps, blocked.value.time) == (
         alone.value.steps, alone.value.time
     )

@@ -231,8 +231,7 @@ def test_coupled_error_sample_zero_noise_zero_error():
 
 
 def test_coupled_error_sample_refuses_a_non_finite_te_step():
-    # before, nan was reported as a divergence at t = 0 and inf took one
-    # final-clamp step
+    # an input error, not a divergence or a one-step path
     cfg = small_config()
     for h in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=rf"step h > 0, got {h}$"):

@@ -399,7 +399,7 @@ def test_integrate_validation():
 
 
 def test_integrate_refuses_a_non_finite_horizon(monkeypatch):
-    # refused before any draw: before, nan and inf stepped to the ceiling
+    # refused before any increment is drawn
     def no_draw(*args):
         raise AssertionError("an increment was drawn")
 

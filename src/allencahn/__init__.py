@@ -4,13 +4,7 @@ Exponential integrators with adaptive, tamed, and hybrid time stepping,
 coupled strong-error studies, and the command-line front end `allencahn`.
 """
 
-from .drift import (
-    CubicDrift,
-    apply_drift,
-    drift_l2_norm,
-    evaluate_drift,
-    inner_product_x_f,
-)
+from .drift import CubicDrift, evaluate_drift, inner_product_x_f
 from .errors import BlowUpError, ConfigError, RunawayPartitionError, StudyError
 from .experiments import (
     FitResult,
@@ -62,12 +56,10 @@ __all__ = [
     "StudyError",
     "StudyResult",
     "TimestepLaw",
-    "apply_drift",
     "apply_fractional_power",
     "apply_semigroup",
     "convergence_study",
     "coupled_error_sample",
-    "drift_l2_norm",
     "eigenvalues",
     "evaluate_drift",
     "fit_order",

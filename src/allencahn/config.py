@@ -68,15 +68,11 @@ PRESETS = (
 def parse_delta_token(token: str) -> float:
     """One delta level: '2^-7' means 2**-7, anything else is a float literal."""
     token = token.strip()
-    if "^" in token:
-        base, _, exp = token.partition("^")
-        try:
-            return float(base) ** int(exp)
-        except ValueError as exc:
-            raise ConfigError(f"bad delta token {token!r}") from exc
+    base, caret, exp = token.partition("^")
     try:
-        return float(token)
-    except ValueError as exc:
+        # A power can divide by zero or overflow as well as fail to parse.
+        return float(base) ** int(exp) if caret else float(token)
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad delta token {token!r}") from exc
 
 
@@ -152,6 +148,8 @@ def load_config(path) -> StudyConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc.reason}") from exc
     return parse_config(text, source=str(path))
 
 

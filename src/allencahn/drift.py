@@ -79,13 +79,14 @@ class DriftEvaluation:
 
     Shared by the timestep laws and the step updates so the state is only
     synthesised once per step.  A (rows, N) block of states takes one
-    transform pair along the last axis.  The norms are computed when read,
-    so a step that needs only the coefficients pays for no norm; for a
-    block they are lists with one entry per row, each equal bit for bit
-    to that row's own evaluation (each row summed on its own, never in a
-    pairwise sum over the block).  The norms and the sups read the grid:
-    they need the quadrature grid M >= 3N+1 and raise on a smaller one,
-    where only the coefficients and their norm are read.
+    transform pair along the last axis; the arrays keep the input's shape.
+    The norms are computed when read, so a step that needs only the
+    coefficients pays for no norm.  Each norm is a list with one entry
+    per row, a one-entry list for a single state, and each entry equals
+    bit for bit that row's own evaluation (each row summed on its own,
+    never in a pairwise sum over the block).  The norms and the sups read
+    the grid: they need the quadrature grid M >= 3N+1 and raise on a
+    smaller one, where only the coefficients and their norm are read.
     """
 
     __slots__ = ("grid_values", "image_values", "coeffs", "m", "a0")
@@ -117,38 +118,41 @@ class DriftEvaluation:
             )
 
     @property
-    def image_norm(self):
-        """||f(X)|| by trapezoid quadrature on the grid."""
+    def image_norm(self) -> list[float]:
+        """||f(X)|| of each row by trapezoid quadrature on the grid."""
         self._check_quadrature()
         # The state vanishes at x = 0, 1 but its image equals f(0) = a0
         # there, hence the boundary term a0^2.
         a0_sq, cells = self.a0**2, self.m + 1
         w = self.image_values
-        if w.ndim == 1:
-            return math.sqrt((np.dot(w, w) + a0_sq) / cells)
-        return [math.sqrt((np.dot(row, row) + a0_sq) / cells) for row in w]
+        return [
+            math.sqrt((np.dot(row, row) + a0_sq) / cells)
+            for row in w.reshape(-1, w.shape[-1])
+        ]
 
     @property
-    def projected_norm(self):
-        """||F^N(X)||, the norm of the projected drift coefficients."""
+    def projected_norm(self) -> list[float]:
+        """||F^N(X)|| of each row, the norm of its projected drift coefficients."""
         c = self.coeffs
-        if c.ndim == 1:
-            return math.sqrt(np.dot(c, c))
-        return [math.sqrt(np.dot(row, row)) for row in c]
+        return [math.sqrt(np.dot(row, row)) for row in c.reshape(-1, c.shape[-1])]
 
     @property
     def lp_norms(self) -> list[tuple[float, float]]:
         """(||X||_L4, ||X||_L6) of each row by quadrature on the grid, exact
-        for band-limited X; a one-pair list for a single state."""
+        for band-limited X."""
         self._check_quadrature()
-        rows = np.atleast_2d(self.grid_values)
-        return [(lp_quadrature(v, 4), lp_quadrature(v, 6)) for v in rows]
+        v = self.grid_values
+        return [
+            (lp_quadrature(row, 4), lp_quadrature(row, 6))
+            for row in v.reshape(-1, v.shape[-1])
+        ]
 
     @property
-    def state_sup(self):
-        """max |X| over the grid (exact, so a block row's equals its own)."""
+    def state_sup(self) -> list[float]:
+        """max |X| of each row over the grid (exact, so a block row's equals
+        its own)."""
         self._check_quadrature()
-        return np.abs(self.grid_values).max(axis=-1).tolist()
+        return np.abs(self.grid_values).max(axis=-1).ravel().tolist()
 
 
 def _least_grid(drift: CubicDrift, n_modes: int) -> int:
@@ -169,7 +173,9 @@ def evaluate_drift(
     """The drift of one state, or of each row of a (rows, N) block of states,
     on the quadrature grid unless m is given.  m must project F^N exactly
     (M >= 2N for an odd drift) and, for any other drift, be a quadrature
-    grid (M >= 3N+1)."""
+    grid (M >= 3N+1).  The projected drift F^N(X) of a single state is
+    its `.coeffs`, and ||f(X)|| its `.image_norm[0]`: every norm holds
+    one entry per row, a single state's as well."""
     n = state_coeffs.shape[-1]
     if m is None:
         m = fast_dealias_size(n)
@@ -180,20 +186,6 @@ def evaluate_drift(
             f"need >= {_least_grid(drift, n)}"
         )
     return DriftEvaluation(drift, state_coeffs, m)
-
-
-def apply_drift(drift: CubicDrift, field: SpectralField) -> SpectralField:
-    """Projected drift F^N(X): evaluation on the quadrature grid, then
-    projection onto N modes.
-
-    Exact to round-off for band-limited fields when the drift is odd.
-    """
-    return SpectralField(evaluate_drift(drift, field.coeffs).coeffs)
-
-
-def drift_l2_norm(drift: CubicDrift, field: SpectralField) -> float:
-    """L2 norm of the drift image f(X), the norm the timestep laws consume."""
-    return evaluate_drift(drift, field.coeffs).image_norm
 
 
 def inner_product_x_f(drift: CubicDrift, field: SpectralField) -> float:

@@ -92,6 +92,11 @@ class StudyConfig:
         unknown = [t for t in self.laws if t not in LAW_TOKENS]
         if unknown:
             raise ConfigError(f"unknown law tokens: {', '.join(unknown)}")
+        # A repeated token would run, and list, its cells twice.
+        for key, tokens in (("schemes", self.schemes), ("laws", self.laws)):
+            repeated = sorted({t for t in tokens if tokens.count(t) > 1})
+            if repeated:
+                raise ConfigError(f"repeated {key}: {', '.join(repeated)}")
         if self.kind == "spatial":
             if not self.spatial_modes:
                 raise ConfigError("spatial study needs spatial_modes")

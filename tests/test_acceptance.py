@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from allencahn.config import load_preset
-from allencahn.drift import CubicDrift, apply_drift
+from allencahn.drift import CubicDrift, evaluate_drift
 from allencahn.experiments import (
     STABILITY_CEILING,
     convergence_study,
@@ -241,7 +241,7 @@ def test_criterion_5_coupling_exactness(study_trace, study_white, study_spatial)
 
 def test_criterion_6_drift_oracle_and_parseval():
     field = SpectralField(np.array([1.0] + [0.0] * 7))
-    image = apply_drift(CUBIC, field).coeffs
+    image = evaluate_drift(CUBIC, field.coeffs).coeffs
     expected = np.zeros(8)
     expected[0], expected[2] = -0.5, 0.5
     worst = float(np.max(np.abs(image - expected)))
@@ -276,7 +276,10 @@ def test_criterion_7_one_sided_lipschitz():
         denom = float(diff @ diff)
         if denom == 0.0:
             continue
-        gap = apply_drift(CUBIC, x).coeffs - apply_drift(CUBIC, y).coeffs
+        gap = (
+            evaluate_drift(CUBIC, x.coeffs).coeffs
+            - evaluate_drift(CUBIC, y.coeffs).coeffs
+        )
         worst = max(worst, float(diff @ gap) / denom)
     assert worst <= limit, f"one-sided ratio {worst!r} exceeds {limit}"
     print(f"criterion 7: PASS - worst ratio {worst:.12f} <= {limit}")

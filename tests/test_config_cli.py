@@ -29,7 +29,6 @@ from allencahn.experiments import (
     write_trace_csv,
 )
 from allencahn.noise import NoiseSpec, NoiseStream
-from allencahn.spectral import SpectralField
 from allencahn.stepping import integrate
 
 from conftest import find_cell
@@ -296,6 +295,16 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "absent.ini" in capsys.readouterr().err
 
 
+def test_cli_config_file_not_utf8(tmp_path, capsys):
+    cfg_file = tmp_path / "latin.ini"
+    cfg_file.write_bytes(b"[study]\ndeltas = 2^-2, 2^-3\n# \xff\n")
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--config", str(cfg_file), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "latin.ini" in err and "not UTF-8" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line, bad",
     [
@@ -316,6 +325,10 @@ def test_cli_missing_config_file(tmp_path, capsys):
         ("laws = type1", "laws = au1"),
         ("laws = type1", "laws ="),
         ("schemes = te, ateu", "schemes ="),
+        ("schemes = te, ateu", "schemes = te, ateu, ateu"),
+        ("laws = type1", "laws = type1, type1"),
+        ("deltas = 2^-2, 2^-3", "deltas = 0^-1, 2^-3"),
+        ("deltas = 2^-2, 2^-3", "deltas = 2^9999, 2^-3"),
     ],
 )
 def test_cli_rejects_bad_value_before_writing(tmp_path, capsys, line, bad):
@@ -475,14 +488,18 @@ def _scaled(monkeypatch, name, factor):
 
 
 def _mode_3_moved(monkeypatch):
-    original = validation.apply_drift
+    # moves mode 3 of every evaluation's F^N that has one (the slice is
+    # empty below 3 modes): the oracle's e1 image fails first, and the
+    # sandwich suite reads only the norms
+    original = validation.evaluate_drift
 
-    def moved(drift, field):
-        coeffs = original(drift, field).coeffs.copy()
-        coeffs[2] += 1e-9
-        return SpectralField(coeffs)
+    def moved(drift, state_coeffs, m=None):
+        ev = original(drift, state_coeffs, m)
+        ev.coeffs = ev.coeffs.copy()
+        ev.coeffs[..., 2:3] += 1e-9
+        return ev
 
-    monkeypatch.setattr(validation, "apply_drift", moved)
+    monkeypatch.setattr(validation, "evaluate_drift", moved)
 
 
 @pytest.mark.parametrize(
@@ -796,6 +813,8 @@ def test_cli_trace_rejects_unknown_scheme(tmp_path, capsys):
         ("smoke", ["--scheme", "ateu", "--path", str(2**32)]),
         ("spatial-desk", ["--scheme", "ateu"]),
         ("smoke", ["--scheme", "ateu", "--law", "au1"]),
+        ("smoke", ["--scheme", "ateu", "--delta", "0^-1"]),
+        ("smoke", ["--scheme", "ateu", "--delta", "2^9999"]),
     ],
 )
 def test_cli_trace_rejects_bad_cell_before_writing(tmp_path, capsys, preset, cell):

@@ -163,6 +163,11 @@ def test_study_config_validation():
         small_config(schemes=())
     with pytest.raises(ConfigError):
         small_config(laws=())
+    # a repeated token would run and list its cells twice
+    with pytest.raises(ConfigError, match=r"repeated schemes: ateu$"):
+        small_config(schemes=("te", "ateu", "ateu"))
+    with pytest.raises(ConfigError, match=r"repeated laws: type1$"):
+        small_config(laws=("type1", "type1"))
     for threads in (0, -3):
         with pytest.raises(ConfigError):
             small_config(threads=threads)

@@ -54,7 +54,7 @@ def law_at(law, field, drift=CUBIC):
     """tau^delta at a state, from the drift evaluation a step would make."""
     ev = evaluate_drift(drift, field.coeffs)
     lp = (lp_norm(field, 4), lp_norm(field, 6)) if law.needs_lp_norms else ()
-    return law.value(l2_norm(field), ev.image_norm, *lp)
+    return law.value(l2_norm(field), ev.image_norm[0], *lp)
 
 
 def one_step(scheme, field, tau, noise=None):
@@ -200,7 +200,7 @@ def test_law_families_are_distinct(rng):
     states = []
     for scale in rng.exponential(2.0, size=50):
         field = SpectralField(scale * rng.standard_normal(8) / np.arange(1, 9))
-        drift_norm = evaluate_drift(CUBIC, field.coeffs).image_norm
+        drift_norm = evaluate_drift(CUBIC, field.coeffs).image_norm[0]
         lp = (lp_norm(field, 4), lp_norm(field, 6))
         states.append((l2_norm(field), drift_norm, *lp))
     for delta in (2.0**-2, 2.0**-6):
